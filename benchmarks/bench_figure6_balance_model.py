@@ -11,7 +11,9 @@ Regenerates the figure:
 
 and asserts the two structural claims: the round-robin table matches on
 the index state and advances it circularly; the hash table picks the
-backend from the flow hash and carries no index state.
+backend from the flow hash and carries no index state.  The per-mode
+tables exist only in the parametric model (``parametric=True``); the
+default deployed-config model holds the configured mode's table alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from repro.model.serialize import render_model, sym_text
 
 
 def test_figure6(benchmark):
-    result = benchmark.pedantic(lambda: synthesize("balance"), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: synthesize("balance", parametric=True), rounds=1, iterations=1
+    )
     model = result.model
 
     print("\n=== Figure 6 (reproduced): NFactor output for balance ===")

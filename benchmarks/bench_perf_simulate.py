@@ -75,9 +75,7 @@ def run_one(name: str, n_packets: int) -> Dict[str, object]:
     out_interp = [interp.process(pkt.copy()) for pkt in packets]
     interp_s = time.perf_counter() - t0
 
-    compiled = compile_model(
-        result.model, result.module_env, pkt_param=result.pkt_param
-    )
+    compiled = compile_model(result.model, pkt_param=result.pkt_param)
 
     sim_c = compiled.simulator(deep_copy(result.module_env))
     t0 = time.perf_counter()
@@ -100,8 +98,6 @@ def run_one(name: str, n_packets: int) -> Dict[str, object]:
         "nf": name,
         "n_packets": n,
         "n_entries": compiled.n_entries,
-        "n_live_entries": compiled.n_live,
-        "n_pruned_entries": compiled.n_pruned,
         "tree_depth": compiled.tree_depth,
         "compile_s": round(compiled.compile_seconds, 4),
         "interpreted_pps": round(n / interp_s, 1) if interp_s else 0.0,
@@ -135,10 +131,10 @@ def measure(names: List[str], n_packets: int) -> Dict[str, object]:
 def report(row: Dict[str, object]) -> None:
     print_table(
         "Warm simulate throughput (interpreted vs compiled vs batch)",
-        ["NF", "entries", "live", "compile", "interp pps", "compiled pps",
+        ["NF", "entries", "compile", "interp pps", "compiled pps",
          "batch pps", "speedup", "batch", "identical"],
         [[
-            r["nf"], r["n_entries"], r["n_live_entries"],
+            r["nf"], r["n_entries"],
             f"{r['compile_s'] * 1000:.1f}ms",
             r["interpreted_pps"], r["compiled_pps"], r["batch_pps"],
             f"{r['compiled_speedup']}x", f"{r['batch_speedup']}x",

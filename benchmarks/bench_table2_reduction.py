@@ -11,7 +11,9 @@ path count explodes (capped, reported as ">cap") while the slice's stays
 small; SE on the slice is orders of magnitude cheaper.
 
 This bench doubles as the slicing on/off ablation called out in
-DESIGN.md: the "orig" columns ARE the no-slicing configuration.
+DESIGN.md: the "orig" columns ARE the no-slicing configuration.  Both
+sides run parametric (branch-read config kept free), as the paper's
+path counts cover every configuration.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from common import print_phase_profile, print_table, profile_snapshot, synthesize
-from repro.nfactor.algorithm import NFactor
+from repro.nfactor.algorithm import NFactor, NFactorConfig
 from repro.nfs import get_nf
 from repro.symbolic.engine import EngineConfig
 from repro.util.timer import Stopwatch
@@ -32,10 +34,12 @@ NFS = ["snortlite", "balance"]
 
 def table2_row(name: str) -> dict:
     """All Table-2 measurements for one NF."""
-    result = synthesize(name)
+    result = synthesize(name, parametric=True)
     stats = result.stats
 
-    nf = NFactor(get_nf(name).source, name=name)
+    nf = NFactor(
+        get_nf(name).source, name=name, config=NFactorConfig(parametric=True)
+    )
     with Stopwatch() as sw:
         orig_paths, engine = nf.explore_original(
             EngineConfig(max_paths=ORIG_CAP)
@@ -99,7 +103,7 @@ def test_table2_speedup_shape(benchmark):
             f"{r['se_orig_s']}s", f"{r['se_slice_s']}s",
         ] for r in rows.values()],
     )
-    print_phase_profile({name: synthesize(name) for name in NFS})
+    print_phase_profile({name: synthesize(name, parametric=True) for name in NFS})
 
     snort, balance = rows["snortlite"], rows["balance"]
     snort_reduction = snort["loc_orig"] / snort["loc_slice"]

@@ -18,33 +18,41 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.nfactor.algorithm import NFactor, NFactorConfig, SynthesisResult
 from repro.nfs import get_nf
 from repro.symbolic.engine import EngineConfig
 
-_CACHE: Dict[str, SynthesisResult] = {}
+_CACHE: Dict[Tuple[str, bool], SynthesisResult] = {}
 
 
-def synthesize(name: str, max_paths: int = 16384) -> SynthesisResult:
+def synthesize(
+    name: str, max_paths: int = 16384, parametric: bool = False
+) -> SynthesisResult:
     """Synthesize (and cache) the model of a corpus NF, observed.
 
-    The persistent artifact cache is off here: a warm user cache would
-    skip pipeline phases and hollow out the per-phase timings these
-    benches report (bench_perf_cache measures the cache explicitly).
+    ``parametric=True`` keeps branch-read config free (the per-config
+    tables of the paper's Fig. 6 and Table 2); the default synthesizes
+    for the deployed configuration.  The persistent artifact cache is
+    off here: a warm user cache would skip pipeline phases and hollow
+    out the per-phase timings these benches report (bench_perf_cache
+    measures the cache explicitly).
     """
-    if name not in _CACHE:
+    key = (name, parametric)
+    if key not in _CACHE:
         spec = get_nf(name)
         config = NFactorConfig(
-            engine=EngineConfig(max_paths=max_paths), artifact_cache=False
+            engine=EngineConfig(max_paths=max_paths),
+            parametric=parametric,
+            artifact_cache=False,
         )
         with obs.observed():
-            _CACHE[name] = NFactor(
+            _CACHE[key] = NFactor(
                 spec.source, name=name, config=config
             ).synthesize()
-    return _CACHE[name]
+    return _CACHE[key]
 
 
 def warm_cache(names: Sequence[str], jobs: int = 0, max_paths: int = 16384) -> None:
@@ -59,7 +67,7 @@ def warm_cache(names: Sequence[str], jobs: int = 0, max_paths: int = 16384) -> N
     """
     from repro.parallel import synthesize_many
 
-    missing = [n for n in names if n not in _CACHE]
+    missing = [n for n in names if (n, False) not in _CACHE]
     if not missing:
         return
     outcomes = synthesize_many(
@@ -71,7 +79,7 @@ def warm_cache(names: Sequence[str], jobs: int = 0, max_paths: int = 16384) -> N
             raise RuntimeError(
                 f"warm_cache: {outcome.name} failed:\n{outcome.error}"
             )
-        _CACHE[outcome.name] = outcome.result
+        _CACHE[(outcome.name, False)] = outcome.result
 
 
 def profile_snapshot(result: SynthesisResult) -> Dict[str, Any]:

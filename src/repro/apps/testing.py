@@ -109,14 +109,14 @@ def generate_tests(
     entry's guard for the *same* flow key fields where possible), the
     final packet exercises the target entry.
     """
-    from repro.apps.verify import config_constraints, initial_state_constraints
+    from repro.apps.verify import initial_state_constraints
 
     model = result.model
     fsm = build_fsm(model)
     solver = Solver(seed=seed)
-    # Pin the deployed configuration and the initial scalar state: test
-    # sequences start against a freshly started NF.
-    config = config_constraints(result) + initial_state_constraints(result)
+    # Pin the initial scalar state: test sequences start against a
+    # freshly started NF.
+    config = initial_state_constraints(result)
     suite = TestSuite(nf_name=model.name)
     entries = {e.entry_id: e for e in model.all_entries()}
     covered: set = set()

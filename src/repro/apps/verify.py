@@ -159,24 +159,6 @@ class NetworkVerifier:
         return bool(self.reachable(space))
 
 
-def config_constraints(result: SynthesisResult) -> List[Any]:
-    """Pin every symbolic configuration variable to its deployed value.
-
-    Verification questions are usually asked about an NF *as
-    configured*; without pinning, a free ``cfg.*`` variable lets the
-    solver pick a configuration in which the property fails.
-    """
-    out: List[Any] = []
-    from repro.symbolic.expr import mk_app
-
-    for var, sym in result.sym_env.items():
-        if isinstance(sym, SVar) and sym.name == f"cfg.{var}":
-            value = result.module_env.get(var)
-            if isinstance(value, (bool, int)):
-                out.append(mk_app("==", sym, int(value)))
-    return out
-
-
 def initial_state_constraints(result: SynthesisResult) -> List[Any]:
     """Pin scalar state variables (``st.*``) to their initial values.
 

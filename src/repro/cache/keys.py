@@ -30,7 +30,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 2: SynthesisStats grew the engine cold-path counters (§9).
 #: 3: frontend keys switched to function-level source units (§15), so an
 #:    edit to one handler no longer invalidates siblings in the same file.
-SCHEMA_VERSION = 3
+#: 4: synthesis defaults to the deployed configuration (cfgVars stay
+#:    concrete), and SynthesisStats grew solver_unknowns/paths_truncated.
+SCHEMA_VERSION = 4
 
 
 def _encode(value: Any, out: bytearray) -> None:

@@ -141,8 +141,16 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             f"slicing {stats.slicing_time_s * 1000:.1f} ms; "
             f"{stats.n_paths} paths in {stats.se_time_s * 1000:.1f} ms SE "
             f"({stats.solver_checks} solver checks, "
-            f"{stats.solver_cache_hits} cache hits)"
+            f"{stats.solver_cache_hits} cache hits, "
+            f"{stats.solver_unknowns} undecided); "
+            f"{stats.paths_truncated} paths truncated"
             + ("; served from artifact cache" if ms.cached else "")
+        )
+    elif ms.stats.solver_unknowns or ms.stats.paths_truncated:
+        print(
+            f"note: {ms.stats.solver_unknowns} solver checks undecided "
+            f"(kept as feasible), {ms.stats.paths_truncated} paths truncated",
+            file=sys.stderr,
         )
     return 0
 
@@ -225,8 +233,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cm = result._compiled_model
         payload["compile"] = {
             "n_entries": cm.n_entries,
-            "n_live": cm.n_live,
-            "n_pruned": cm.n_pruned,
             "tree_depth": cm.tree_depth,
             "compile_seconds": round(cm.compile_seconds, 6),
         }
@@ -254,7 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cm = result._compiled_model
         print(
             f"  dispatches {stats.compiled_dispatches}  "
-            f"[{cm.n_live}/{cm.n_entries} live entries, "
+            f"[{cm.n_entries} entries, "
             f"tree depth {cm.tree_depth}, "
             f"compiled in {cm.compile_seconds * 1000:.1f} ms]"
         )
@@ -350,8 +356,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
 
     header = (
-        f"{'nf':14s} {'paths':>6s} {'entries':>8s} {'time':>9s} "
-        f"{'solver':>7s} {'model':>6s} {'disk':>5s} {'mem':>4s}"
+        f"{'nf':14s} {'paths':>6s} {'entries':>8s} {'unk':>4s} {'trunc':>5s} "
+        f"{'time':>9s} {'solver':>7s} {'model':>6s} {'disk':>5s} {'mem':>4s}"
     )
     print(header)
     print("-" * len(header))
@@ -360,12 +366,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
         if not out.ok:
             failed += 1
             reason = out.error.strip().splitlines()[-1] if out.error else "failed"
-            print(f"{out.name:14s} {'-':>6s} {'-':>8s} {out.elapsed_s * 1000:7.1f}ms {reason}")
+            print(
+                f"{out.name:14s} {'-':>6s} {'-':>8s} {'-':>4s} {'-':>5s} "
+                f"{out.elapsed_s * 1000:7.1f}ms {reason}"
+            )
             continue
         stats = out.stats
         tiers = out.cache_tiers
         print(
             f"{out.name:14s} {stats.n_paths:6d} {stats.n_entries:8d} "
+            f"{stats.solver_unknowns:4d} {stats.paths_truncated:5d} "
             f"{out.elapsed_s * 1000:7.1f}ms "
             f"{tiers.get('solver', 0):7d} {tiers.get('model', 0):6d} "
             f"{tiers.get('disk', 0):5d} {tiers.get('mem', 0):4d}"
@@ -391,6 +401,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
                         "solver_checks": out.stats.solver_checks,
                         "solver_cache_hits": out.stats.solver_cache_hits,
                         "solver_cache_misses": out.stats.solver_cache_misses,
+                        "solver_unknowns": out.stats.solver_unknowns,
+                        "paths_truncated": out.stats.paths_truncated,
                     }
                     if out.ok
                     else None
@@ -912,7 +924,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     stats = result.stats
     print(
         f"\n{spec.name}: {stats.n_paths} paths -> {stats.n_entries} entries; "
-        f"{stats.solver_checks} solver checks; "
+        f"{stats.solver_checks} solver checks "
+        f"({stats.solver_unknowns} undecided); "
+        f"{stats.paths_truncated} paths truncated; "
         f"pipeline {sum(stats.phase_timings.values()) * 1000:.1f} ms"
     )
     return 0

@@ -5,16 +5,7 @@ AST node-by-node via ``eval_symbolic`` on every packet.  This module
 lowers the model **once**, at build time, into a form where the
 per-packet work is a handful of compiled-function calls:
 
-1. **Static config folding** — config-partition conjuncts
-   (``cfg.*``-only guards) reference variables the StateAlyzer proved
-   read-only on the packet path, so they are evaluated once against
-   the initial state.  Entries whose config guard is false (or
-   unevaluable — the interpreter treats both as "never matches") are
-   pruned from the dataplane entirely; the surviving entries drop
-   their config conjuncts and have ``cfg.`` leaves inside the
-   remaining flow/state conjuncts replaced by literal constants.
-
-2. **Decision-tree dispatch** — the single-field exact-match index of
+1. **Decision-tree dispatch** — the single-field exact-match index of
    the simulator generalizes to a nested tree: each inner node tests
    one packet field and branches on its concrete value; entries that
    pin that field to a different value can never match and are absent
@@ -22,7 +13,7 @@ per-packet work is a handful of compiled-function calls:
    (directly, inside positive ``and`` chains, or implied by a closed
    ``lo <= pkt.f <= lo`` interval).
 
-3. **Guard compilation** — each entry's residual conjunction is
+2. **Guard compilation** — each entry's guard conjunction is
    code-generated into one Python function (``compile()``-ed source),
    preserving the interpreter's semantics *exactly*: lazy
    ``and``/``or``/``cond``, ``GuardEvalError`` on missing
@@ -30,9 +21,12 @@ per-packet work is a handful of compiled-function calls:
    **raw propagation** of errors the interpreter does not catch
    (dict-value path indexing, ``in`` on a non-container).  The
    :class:`_Raw` wrapper carries those across the generated
-   ``try``/``except`` so they re-raise unchanged.
+   ``try``/``except`` so they re-raise unchanged.  Config conjuncts of
+   a parametric model (``NFactorConfig.parametric``) are compiled like
+   any other conjunct and read config from the state at run time; the
+   default deployed-config model has none.
 
-4. **Action precompilation** — a :class:`CompiledSimulator` owns one
+3. **Action precompilation** — a :class:`CompiledSimulator` owns one
    reused ``Interpreter``/``Env`` pair instead of building both per
    packet, and offers :meth:`CompiledSimulator.process_many` to
    amortize attribute lookups across a packet vector.
@@ -58,7 +52,6 @@ from repro.model.simulator import (
     SimStats,
     _lookup,
     _merge_by_position,
-    eval_symbolic,
 )
 from repro.net.packet import PACKET_FIELDS, Packet
 from repro.symbolic.expr import SApp, SDictVal, SVar, _hashable
@@ -130,24 +123,20 @@ _BINOPS = frozenset(
      "==", "!=", "<", "<=", ">", ">=")
 )
 
-#: Scalar immutables safe to inline as literals (value-equal under
-#: ``deep_copy``, so folding against the compile-time state stays
-#: correct for every simulator instance created later).
-_FOLDABLE = (bool, int, str, type(None))
+#: Scalar immutables emitted as inline literals instead of pool slots.
+_LITERAL = (bool, int, str, type(None))
 
 
 class _GuardGen:
     """Code generator for one compiled model's guard module."""
 
-    def __init__(self, init_state: Dict[str, Any], fold_config: bool) -> None:
-        self.init_state = init_state
-        self.fold_config = fold_config
+    def __init__(self) -> None:
         self.consts: List[Any] = []
         self._const_index: Dict[Any, int] = {}
 
     def const(self, value: Any) -> str:
         """A reference to ``value`` — inline literal or pool slot."""
-        if type(value) in _FOLDABLE:
+        if type(value) in _LITERAL:
             return f"({value!r})"
         try:
             idx = self._const_index[value]
@@ -187,15 +176,9 @@ class _GuardGen:
             if fieldname in PACKET_FIELDS or fieldname.isidentifier():
                 return f"p.{fieldname}"
             return f"getattr(p, {fieldname!r})"
-        if name.startswith(CONFIG_NS):
-            stripped = name[len(CONFIG_NS):]
-            if self.fold_config and stripped in self.init_state:
-                concrete = self.init_state[stripped]
-                if type(concrete) in _FOLDABLE:
-                    return f"({concrete!r})"
-            return f"_sv(state, {stripped!r})"
-        if name.startswith(STATE_NS):
-            return f"_sv(state, {name[len(STATE_NS):]!r})"
+        for ns in (CONFIG_NS, STATE_NS):
+            if name.startswith(ns):
+                return f"_sv(state, {name[len(ns):]!r})"
         return f"_sv(state, {name!r})"
 
     def _gen_app(self, value: SApp) -> str:
@@ -262,7 +245,7 @@ class _GuardGen:
 _FLIP = {"==": "==", "<=": ">=", ">=": "<=", "<": ">", ">": "<"}
 
 
-def _entry_pins(entry: TableEntry, init_state: Dict[str, Any]) -> Dict[str, int]:
+def _entry_pins(entry: TableEntry) -> Dict[str, int]:
     """Packet fields the flow match pins to one concrete value.
 
     Generalizes :func:`~repro.model.simulator._concrete_eq_fields`:
@@ -272,16 +255,6 @@ def _entry_pins(entry: TableEntry, init_state: Dict[str, Any]) -> Dict[str, int]
     equalities.  Sound for *skipping*: a pin that is false for a
     packet means the guard evaluates false (or errors → no match).
     """
-
-    def resolve(value: Any) -> Optional[int]:
-        if isinstance(value, bool) or not isinstance(value, (int, SVar)):
-            return None
-        if isinstance(value, SVar):
-            if not value.name.startswith(CONFIG_NS):
-                return None
-            concrete = init_state.get(value.name[len(CONFIG_NS):])
-            return concrete if type(concrete) is int else None
-        return value
 
     def packet_field(value: Any) -> Optional[str]:
         if isinstance(value, SVar) and value.name.startswith("pkt") \
@@ -303,10 +276,9 @@ def _entry_pins(entry: TableEntry, init_state: Dict[str, Any]) -> Dict[str, int]
         if c.op not in _FLIP or len(c.args) != 2:
             return
         lhs, rhs = c.args
-        for var, const, rel in ((lhs, rhs, c.op), (rhs, lhs, _FLIP[c.op])):
+        for var, value, rel in ((lhs, rhs, c.op), (rhs, lhs, _FLIP[c.op])):
             fieldname = packet_field(var)
-            value = resolve(const)
-            if fieldname is None or value is None:
+            if fieldname is None or type(value) is not int:
                 continue
             # rel reads with the packet field on the left: pkt.f REL value
             if rel == "==":
@@ -329,7 +301,7 @@ def _entry_pins(entry: TableEntry, init_state: Dict[str, Any]) -> Dict[str, int]
 
 
 class CompiledEntry:
-    """One live table entry with its compiled guard."""
+    """One table entry with its compiled guard."""
 
     __slots__ = ("entry", "entry_id", "guard", "action_stmts")
 
@@ -420,8 +392,6 @@ class CompiledModel:
     model: NFModel
     pkt_param: str
     n_entries: int
-    n_live: int
-    n_pruned: int
     compile_seconds: float
     dispatch: bool
     tree_depth: int
@@ -436,60 +406,27 @@ class CompiledModel:
 
 def compile_model(
     model: NFModel,
-    init_state: Dict[str, Any],
     pkt_param: str = "pkt",
     dispatch: bool = True,
-    fold_config: bool = True,
 ) -> CompiledModel:
-    """Lower ``model`` once against ``init_state``.
+    """Lower ``model`` once; the result depends on the model alone.
 
-    ``init_state`` is only *read* (config resolution); pass the
-    synthesis module environment.  ``dispatch=False`` keeps the flat
-    priority scan (all live entries in one leaf); ``fold_config=False``
-    keeps config conjuncts in the compiled guards and disables both
-    pruning and cfg-literal inlining — the maximally conservative
-    lowering, used by the equivalence tests.
+    ``dispatch=False`` keeps the flat priority scan (every entry in one
+    leaf).  A parametric model's config conjuncts are compiled into the
+    guards like any other conjunct, so they are evaluated against the
+    simulator's state at run time.
     """
     t0 = time.perf_counter()
     entries = model.all_entries()
-    gen = _GuardGen(init_state, fold_config=fold_config)
-    dummy = Packet()
-
-    live: List[Tuple[int, TableEntry, List[Any]]] = []
-    n_pruned = 0
-    for pos, entry in enumerate(entries):
-        conjuncts: List[Any] = []
-        dead = False
-        if fold_config:
-            # Config conjuncts see only cfg.* leaves (the classifier
-            # guarantees no pkt/state reads), and cfgVars are read-only
-            # on the packet path — so evaluate them once, now.  False
-            # or unevaluable means the interpreter's guard could never
-            # hold for this entry: prune it from the dataplane.
-            for c in entry.config:
-                try:
-                    if not bool(eval_symbolic(c, init_state, dummy)):
-                        dead = True
-                        break
-                except GuardEvalError:
-                    dead = True
-                    break
-        else:
-            conjuncts.extend(entry.config)
-        if dead:
-            n_pruned += 1
-            continue
-        conjuncts.extend(entry.match_flow)
-        conjuncts.extend(entry.match_state)
-        live.append((pos, entry, conjuncts))
+    gen = _GuardGen()
 
     # One generated module holding every guard function.
     chunks: List[str] = []
     names: List[str] = []
-    for i, (_pos, _entry, conjuncts) in enumerate(live):
+    for i, entry in enumerate(entries):
         name = f"_g{i}"
         names.append(name)
-        chunks.append(gen.guard_source(name, conjuncts))
+        chunks.append(gen.guard_source(name, entry.guard()))
     source = "\n".join(chunks)
     namespace: Dict[str, Any] = {
         "GuardEvalError": GuardEvalError,
@@ -507,11 +444,10 @@ def compile_model(
 
     compiled: List[CompiledEntry] = [
         CompiledEntry(entry, namespace[name])
-        for name, (_pos, entry, _c) in zip(names, live)
+        for name, entry in zip(names, entries)
     ]
     items: List[_Item] = [
-        (pos, ce, _entry_pins(entry, init_state) if fold_config else {})
-        for ce, (pos, entry, _c) in zip(compiled, live)
+        (pos, ce, _entry_pins(ce.entry)) for pos, ce in enumerate(compiled)
     ]
     if dispatch:
         root = _build_tree(items, frozenset())
@@ -523,8 +459,6 @@ def compile_model(
         model=model,
         pkt_param=pkt_param,
         n_entries=len(entries),
-        n_live=len(compiled),
-        n_pruned=n_pruned,
         compile_seconds=time.perf_counter() - t0,
         dispatch=dispatch,
         tree_depth=depth,
@@ -560,7 +494,7 @@ class CompiledSimulator:
         self._env = Env(globals=init_state)
 
     def match_entry(self, pkt: Packet) -> Optional[TableEntry]:
-        """First live entry whose compiled guard holds (priority order)."""
+        """First entry whose compiled guard holds (priority order)."""
         ce = self._match(pkt)
         return None if ce is None else ce.entry
 

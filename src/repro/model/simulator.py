@@ -132,27 +132,9 @@ def _merge_by_position(
     return merged
 
 
-def _concrete_eq_fields(
-    entry: TableEntry, state: Dict[str, Any]
-) -> Dict[str, int]:
-    """Packet fields pinned to a concrete value by the entry's flow match.
-
-    A conjunct pins a field when it is ``pkt.f == rhs`` (either side)
-    with ``rhs`` an int literal or a config variable resolvable in the
-    *initial* state — sound because cfgVars are read-only on the packet
-    path by the StateAlyzer classification, so the resolved value never
-    changes over the simulator's lifetime.
-    """
-
-    def resolve(value: Any) -> Optional[int]:
-        if isinstance(value, bool) or not isinstance(value, (int, SVar)):
-            return None
-        if isinstance(value, SVar):
-            if not value.name.startswith(CONFIG_NS):
-                return None
-            concrete = state.get(value.name[len(CONFIG_NS):])
-            return concrete if type(concrete) is int else None
-        return value
+def _concrete_eq_fields(entry: TableEntry) -> Dict[str, int]:
+    """Packet fields pinned to an int literal by the entry's flow match
+    (a top-level ``pkt.f == const`` conjunct, either side)."""
 
     def packet_field(value: Any) -> Optional[str]:
         if isinstance(value, SVar) and value.name.startswith("pkt") and "." in value.name:
@@ -166,9 +148,8 @@ def _concrete_eq_fields(
         lhs, rhs = c.args
         for var, const in ((lhs, rhs), (rhs, lhs)):
             fieldname = packet_field(var)
-            value = resolve(const)
-            if fieldname is not None and value is not None:
-                pinned.setdefault(fieldname, value)
+            if fieldname is not None and type(const) is int:
+                pinned.setdefault(fieldname, const)
     return pinned
 
 
@@ -178,9 +159,8 @@ class ModelSimulator:
     Matching uses an **exact-match index** instead of a per-packet
     linear scan over every entry: at construction time the simulator
     picks the packet field that most entries pin to a concrete value
-    (``pkt.f == const`` conjuncts, config vars resolved against the
-    initial state) and buckets those entries by value.  A lookup then
-    evaluates only the bucket for the packet's value plus the
+    (``pkt.f == const`` conjuncts) and buckets those entries by value.
+    A lookup then evaluates only the bucket for the packet's value plus the
     non-indexable *residual* entries, merged back into priority
     (insertion) order — so the first matching entry is byte-identical
     to the scan's, just found after fewer guard evaluations.  Entries
@@ -210,9 +190,7 @@ class ModelSimulator:
             self._build_index()
 
     def _build_index(self) -> None:
-        pinned = [
-            _concrete_eq_fields(entry, self.state) for entry in self._entries
-        ]
+        pinned = [_concrete_eq_fields(entry) for entry in self._entries]
         coverage: Dict[str, int] = {}
         for fields in pinned:
             for name in fields:

@@ -66,11 +66,12 @@ class NFactorConfig:
     """Synthesis tunables."""
 
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Config variables to treat symbolically (None = auto: scalar
-    #: cfgVars referenced by branch conditions of the entry code).
-    symbolic_configs: Optional[Set[str]] = None
-    #: Config variables to force-keep concrete even under auto.
-    concrete_configs: Set[str] = field(default_factory=set)
+    #: Synthesize for every configuration instead of the deployed one:
+    #: scalar cfgVars read by branch conditions become free ``cfg.*``
+    #: variables, so the model splits into per-config tables (paper
+    #: Fig. 6 / Table 2).  Off by default: a deployed NF runs exactly
+    #: one configuration, its module-level constants.
+    parametric: bool = False
     #: Also explore the *unsliced* program (for the Table-2 comparison).
     keep_module_concrete: bool = True
     #: Memoize pipeline phases through the persistent artifact store
@@ -104,6 +105,11 @@ class SynthesisStats:
     solver_checks: int = 0
     solver_cache_hits: int = 0
     solver_cache_misses: int = 0
+    #: Checks the solver could not decide (treated as feasible, so each
+    #: one may keep a spurious path) and paths cut by a loop or step
+    #: budget (missing from the model).  Surfaced, never folded away.
+    solver_unknowns: int = 0
+    paths_truncated: int = 0
     # Engine cold-path counters (docs/internals.md §9); frontier runs
     # fold the worker processes' counts in.
     states_explored: int = 0
@@ -156,10 +162,7 @@ class SynthesisResult:
         compiled = getattr(self, "_compiled_model", None)
         if compiled is None or compiled.dispatch != dispatch:
             compiled = compile_model(
-                self.model,
-                self.module_env,
-                pkt_param=self.pkt_param,
-                dispatch=dispatch,
+                self.model, pkt_param=self.pkt_param, dispatch=dispatch
             )
             self._compiled_model = compiled
         return compiled.simulator(deep_copy(self.module_env))
@@ -202,8 +205,7 @@ def _canon_value(value: Any) -> Any:
 def _prep_config_fingerprint(config: NFactorConfig) -> Tuple:
     """Fingerprint of the config fields the pipeline front half reads."""
     return (
-        ("symbolic_configs", _canon_value(config.symbolic_configs)),
-        ("concrete_configs", _canon_value(config.concrete_configs)),
+        ("parametric", config.parametric),
         ("keep_module_concrete", config.keep_module_concrete),
     )
 
@@ -375,35 +377,28 @@ class NFactor:
     ) -> Dict[str, Any]:
         """Seed the symbolic environment (Algorithm 1's setup).
 
-        Packet fields become free variables; scalar configuration used
-        in branch conditions becomes ``cfg.*`` variables (so the model
-        splits into per-config tables); output-impacting state becomes
-        ``st.*`` variables / lazy symbolic dicts; everything else
-        (structured config like server lists, log counters) stays at
-        its concrete initial value.
+        Packet fields become free variables; output-impacting state
+        becomes ``st.*`` variables / lazy symbolic dicts; configuration
+        and everything else (log counters, structured data) keeps its
+        concrete initial value, so the model covers the deployed
+        configuration only.  With ``NFactorConfig.parametric`` the
+        scalar cfgVars that branch conditions read become free
+        ``cfg.*`` variables instead, and the model splits into
+        per-config tables.
         """
         env: Dict[str, Any] = {k: deep_copy(v) for k, v in module_env.items()}
 
-        cond_vars: Set[str] = set()
-        for stmt in iter_block(entry_part):
-            if isinstance(stmt, (SIf, SWhile)):
-                cond_vars |= stmt_uses(stmt)
-
-        symbolic_cfg = self.config.symbolic_configs
-        for var in sorted(categories.cfg_vars):
-            if var in self.config.concrete_configs:
-                continue
-            value = env.get(var)
-            auto = var in cond_vars and isinstance(value, (int, bool))
-            wanted = (symbolic_cfg is not None and var in symbolic_cfg) or (
-                symbolic_cfg is None and auto
-            )
-            if not wanted:
-                continue
-            if isinstance(value, bool):
-                env[var] = SVar(f"cfg.{var}", 0, 1, boolean=True)
-            elif isinstance(value, int):
-                env[var] = SVar(f"cfg.{var}", 0, (1 << 32) - 1)
+        if self.config.parametric:
+            cond_vars: Set[str] = set()
+            for stmt in iter_block(entry_part):
+                if isinstance(stmt, (SIf, SWhile)):
+                    cond_vars |= stmt_uses(stmt)
+            for var in sorted(categories.cfg_vars & cond_vars):
+                value = env.get(var)
+                if isinstance(value, bool):
+                    env[var] = SVar(f"cfg.{var}", 0, 1, boolean=True)
+                elif isinstance(value, int):
+                    env[var] = SVar(f"cfg.{var}", 0, (1 << 32) - 1)
 
         for var in sorted(categories.ois_vars):
             value = env.get(var)
@@ -553,6 +548,8 @@ class NFactor:
             stats.solver_checks = engine.stats.solver_checks
             stats.solver_cache_hits = engine.stats.solver_cache_hits
             stats.solver_cache_misses = engine.stats.solver_cache_misses
+            stats.solver_unknowns = engine.stats.solver_unknowns
+            stats.paths_truncated = engine.stats.paths_truncated
             stats.states_explored = engine.stats.states_explored
             stats.pruned_subsumed = engine.stats.pruned_subsumed
             stats.witness_hits = engine.stats.witness_hits

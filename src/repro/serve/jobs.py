@@ -146,6 +146,8 @@ def _stats_dict(stats: Any) -> Dict[str, Any]:
         "slice_loc": stats.slice_loc,
         "solver_checks": stats.solver_checks,
         "solver_cache_hits": stats.solver_cache_hits,
+        "solver_unknowns": stats.solver_unknowns,
+        "paths_truncated": stats.paths_truncated,
         "states_explored": stats.states_explored,
     }
 
@@ -253,8 +255,7 @@ _COMPILED_MEMO_MAX = 8
 _COMPILED_MEMO = _LruMemo(_COMPILED_MEMO_MAX)
 
 
-def _compiled_for(key: Optional[str], model: Any, module_env: Dict[str, Any],
-                  pkt_param: str) -> Any:
+def _compiled_for(key: Optional[str], model: Any, pkt_param: str) -> Any:
     """The compiled form of ``model``, memoized per worker process."""
     from repro.model.compile import compile_model
     from repro.obs import metrics as obs_metrics
@@ -263,7 +264,7 @@ def _compiled_for(key: Optional[str], model: Any, module_env: Dict[str, Any],
         hit = _COMPILED_MEMO.get(key)
         if hit is not None:
             return hit
-    compiled = compile_model(model, module_env, pkt_param=pkt_param)
+    compiled = compile_model(model, pkt_param=pkt_param)
     obs_metrics.histogram("sim.compile_seconds").observe(
         compiled.compile_seconds
     )
@@ -295,7 +296,7 @@ def _op_simulate(body: Dict[str, Any]) -> Dict[str, Any]:
     use_compiled = bool(body.get("compile", True))
     key, (model, module_env, pkt_param) = _sim_bundle(body)
     if use_compiled:
-        compiled = _compiled_for(key, model, module_env, pkt_param)
+        compiled = _compiled_for(key, model, pkt_param)
         sim = compiled.simulator(deep_copy(module_env))
         sent_lists = sim.process_many(packets)
         obs_metrics.counter("sim.compiled").inc()

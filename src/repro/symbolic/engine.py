@@ -148,6 +148,9 @@ class ExploreStats:
     solver_checks: int = 0
     solver_cache_hits: int = 0
     solver_cache_misses: int = 0
+    #: Checks answered ``unknown`` (kept as feasible: completeness over
+    #: soundness), including constraint-cache hits on such answers.
+    solver_unknowns: int = 0
     elapsed_s: float = 0.0
     exhausted: bool = False
     #: States actually executed to completion (finishing done, pruned
@@ -264,7 +267,7 @@ class SymbolicEngine:
         entry_succs = cfg.succs(ENTRY, virtual=False)
         first = entry_succs[0] if entry_succs else EXIT
         initial = SymState(pc=first, env=dict(init_env or {}))
-        worker_solver = {"checks": 0, "hits": 0, "misses": 0}
+        worker_solver = {"checks": 0, "hits": 0, "misses": 0, "unknowns": 0}
 
         table = InternTable() if self.config.intern_exprs else None
         span = obs_trace.span(
@@ -306,6 +309,9 @@ class SymbolicEngine:
         self.stats.solver_cache_misses = (
             self.solver.cache_misses + worker_solver["misses"]
         )
+        self.stats.solver_unknowns = (
+            self.solver.unknown_hits + worker_solver["unknowns"]
+        )
         if table is not None:
             tstats = table.stats()
             self.stats.intern_size += tstats["size"]
@@ -341,6 +347,7 @@ class SymbolicEngine:
         self.stats.solver_checks = self.solver.checks
         self.stats.solver_cache_hits = self.solver.cache_hits
         self.stats.solver_cache_misses = self.solver.cache_misses
+        self.stats.solver_unknowns = self.solver.unknown_hits
         if table is not None:
             tstats = table.stats()
             self.stats.intern_size = tstats["size"]
@@ -650,6 +657,7 @@ class SymbolicEngine:
             worker_solver["checks"] += stats["solver_checks"]
             worker_solver["hits"] += stats["solver_cache_hits"]
             worker_solver["misses"] += stats["solver_cache_misses"]
+            worker_solver["unknowns"] += stats["solver_unknowns"]
 
     # -- per-state loop -------------------------------------------------------
 

@@ -32,8 +32,11 @@ def _isolated_artifact_cache(monkeypatch, tmp_path):
     yield
 
 
-def synthesize_cached(name: str) -> SynthesisResult:
+def synthesize_cached(name: str, parametric: bool = False) -> SynthesisResult:
     """Synthesize an NF model once per test session.
+
+    The default is the deployed-config model; ``parametric=True`` keeps
+    branch-read config free (per-config tables, paper Fig. 6).
 
     ``artifact_cache=False`` directly (not just via the env fixture):
     session-scoped fixtures instantiate *before* function-scoped
@@ -41,13 +44,16 @@ def synthesize_cached(name: str) -> SynthesisResult:
     warm user cache would skip the very phases whose stats the tests
     assert on.
     """
-    if name not in _CACHE:
+    key = (name, parametric)
+    if key not in _CACHE:
         spec = get_nf(name)
         config = NFactorConfig(
-            engine=EngineConfig(max_paths=16384), artifact_cache=False
+            engine=EngineConfig(max_paths=16384),
+            parametric=parametric,
+            artifact_cache=False,
         )
-        _CACHE[name] = NFactor(spec.source, name=name, config=config).synthesize()
-    return _CACHE[name]
+        _CACHE[key] = NFactor(spec.source, name=name, config=config).synthesize()
+    return _CACHE[key]
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +84,18 @@ def balance_result() -> SynthesisResult:
 @pytest.fixture(scope="session")
 def snortlite_result() -> SynthesisResult:
     return synthesize_cached("snortlite")
+
+
+@pytest.fixture(scope="session")
+def lb_parametric() -> SynthesisResult:
+    return synthesize_cached("loadbalancer", parametric=True)
+
+
+@pytest.fixture(scope="session")
+def firewall_parametric() -> SynthesisResult:
+    return synthesize_cached("firewall", parametric=True)
+
+
+@pytest.fixture(scope="session")
+def balance_parametric() -> SynthesisResult:
+    return synthesize_cached("balance", parametric=True)

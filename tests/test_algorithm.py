@@ -41,8 +41,8 @@ class TestPipeline:
         assert not any("pass_stat" in t for t in texts)
         assert not any("frag_stat += 1" in t for t in texts)
 
-    def test_stats_populated(self, lb_result):
-        stats = lb_result.stats
+    def test_stats_populated(self, lb_parametric):
+        stats = lb_parametric.stats
         assert stats.source_loc > 0
         assert 0 < stats.slice_loc <= stats.source_loc
         assert stats.n_paths == stats.n_entries == 5
@@ -72,18 +72,21 @@ class TestPipeline:
         assert model_to_json(a.model) == model_to_json(b.model)
 
     def test_symbolic_config_override(self):
+        """``parametric=True`` makes branch-read config symbolic: the
+        hash branch of the non-deployed mode comes back."""
         spec = get_nf("loadbalancer")
-        config = NFactorConfig(symbolic_configs=set())  # all config concrete
+        config = NFactorConfig(parametric=True)
         result = NFactor(spec.source, name="lb", config=config).synthesize()
-        # With mode concrete (ROUND_ROBIN) the hash branch disappears.
-        assert result.stats.n_paths == 4
-        assert len(result.model.tables) == 1
+        assert result.stats.n_paths == 5
+        assert len(result.model.tables) > 1
 
     def test_concrete_configs_override(self):
+        """The default keeps config concrete: with mode at its deployed
+        value (ROUND_ROBIN) the hash branch disappears."""
         spec = get_nf("loadbalancer")
-        config = NFactorConfig(concrete_configs={"mode", "ROUND_ROBIN"})
-        result = NFactor(spec.source, name="lb", config=config).synthesize()
+        result = NFactor(spec.source, name="lb").synthesize()
         assert result.stats.n_paths == 4
+        assert len(result.model.tables) == 1
 
 
 class TestOriginalExploration:

@@ -10,7 +10,6 @@ from repro.apps.verify import (
     HeaderSpace,
     NetworkVerifier,
     check_drop_invariant,
-    config_constraints,
     find_forwarding_witness,
     model_check_entries,
 )
@@ -32,7 +31,7 @@ class TestVerification:
     def test_lb_invariant_unsolicited_reverse_dropped(self, lb_result):
         """No packet off the service port of an unknown flow is ever
         forwarded — the property the paper's LB narrative states."""
-        not_service = mk_app("!=", DPORT, SVar("cfg.LB_PORT", 0, 65535))
+        not_service = mk_app("!=", DPORT, lb_result.module_env["LB_PORT"])
         unknown = SApp("not", (SApp("member", ("b2f_nat", _lb_tuple())),))
         violation = check_drop_invariant(lb_result.model, [not_service, unknown])
         assert violation is None
@@ -40,24 +39,6 @@ class TestVerification:
     def test_firewall_invariant_untrusted_syn_dropped(self, firewall_result):
         """With fresh state and the deployed config, a SYN arriving on
         the untrusted port must not be forwarded."""
-        syn_only = mk_app(
-            "and",
-            mk_app("!=", mk_app("&", FLAGS, 2), 0),
-            mk_app("==", mk_app("&", FLAGS, 16), 0),
-        )
-        constraints = config_constraints(firewall_result) + [
-            mk_app("==", PROTO, 6),
-            mk_app("!=", IN_PORT, 0),
-            syn_only,
-        ]
-        violation = find_forwarding_witness(
-            firewall_result.model, constraints, empty_state=True
-        )
-        assert violation is None
-
-    def test_firewall_invariant_fails_without_config_pinning(self, firewall_result):
-        """The same property is violated under *some* configuration
-        (TRUSTED_PORT ≠ 0), demonstrating why verification pins config."""
         syn_only = mk_app(
             "and",
             mk_app("!=", mk_app("&", FLAGS, 2), 0),
@@ -71,6 +52,27 @@ class TestVerification:
         violation = find_forwarding_witness(
             firewall_result.model, constraints, empty_state=True
         )
+        assert violation is None
+
+    def test_firewall_invariant_fails_without_config_pinning(
+        self, firewall_parametric
+    ):
+        """The same property is violated under *some* configuration
+        (TRUSTED_PORT ≠ 0) of the parametric model, demonstrating why
+        verification runs on the deployed-config model."""
+        syn_only = mk_app(
+            "and",
+            mk_app("!=", mk_app("&", FLAGS, 2), 0),
+            mk_app("==", mk_app("&", FLAGS, 16), 0),
+        )
+        constraints = [
+            mk_app("==", PROTO, 6),
+            mk_app("!=", IN_PORT, 0),
+            syn_only,
+        ]
+        violation = find_forwarding_witness(
+            firewall_parametric.model, constraints, empty_state=True
+        )
         assert violation is not None
 
     def test_firewall_trusted_syn_allowed(self, firewall_result):
@@ -79,7 +81,7 @@ class TestVerification:
             mk_app("!=", mk_app("&", FLAGS, 2), 0),
             mk_app("==", mk_app("&", FLAGS, 16), 0),
         )
-        constraints = config_constraints(firewall_result) + [
+        constraints = [
             mk_app("==", PROTO, 6),
             mk_app("==", IN_PORT, 0),
             syn_only,
@@ -98,9 +100,7 @@ class TestVerification:
         """Non-TCP traffic cannot traverse the firewall as configured
         (STRICT_MODE=1)."""
         verifier = NetworkVerifier([("fw", firewall_result.model)])
-        space = HeaderSpace.universe().constrained(
-            mk_app("==", PROTO, 17), *config_constraints(firewall_result)
-        )
+        space = HeaderSpace.universe().constrained(mk_app("==", PROTO, 17))
         assert not verifier.can_reach(space)
 
     def test_chain_transform_composes(self, lb_result):
@@ -108,7 +108,7 @@ class TestVerification:
         source address."""
         verifier = NetworkVerifier([("lb", lb_result.model)])
         space = HeaderSpace.universe().constrained(
-            mk_app("==", DPORT, SVar("cfg.LB_PORT", 0, 65535))
+            mk_app("==", DPORT, lb_result.module_env["LB_PORT"])
         )
         out_spaces = verifier.reachable(space)
         assert out_spaces

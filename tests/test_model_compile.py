@@ -112,9 +112,7 @@ class TestCorpusDifferentialFuzz:
             copy.deepcopy(result.module_env),
             pkt_param=result.pkt_param,
         )
-        compiled_model = compile_model(
-            result.model, result.module_env, pkt_param=result.pkt_param
-        )
+        compiled_model = compile_model(result.model, pkt_param=result.pkt_param)
         comp = _RecordingCompiled(
             compiled_model, copy.deepcopy(result.module_env)
         )
@@ -134,46 +132,45 @@ class TestCorpusDifferentialFuzz:
 
     @pytest.mark.parametrize("name", nf_names())
     def test_index_and_dispatch_switches(self, name):
-        """use_index / dispatch on-off: all four lowerings agree."""
-        result = synthesize_cached(name)
-        packets = _workload(name, 1000, seed=99)
-
-        sims = {
-            "scan": ModelSimulator(
-                result.model,
-                copy.deepcopy(result.module_env),
-                pkt_param=result.pkt_param,
-                use_index=False,
-            ),
-            "indexed": ModelSimulator(
-                result.model,
-                copy.deepcopy(result.module_env),
-                pkt_param=result.pkt_param,
-            ),
-            "compiled-flat": compile_model(
-                result.model,
-                result.module_env,
-                pkt_param=result.pkt_param,
-                dispatch=False,
-            ).simulator(copy.deepcopy(result.module_env)),
-            "compiled-tree": compile_model(
-                result.model, result.module_env, pkt_param=result.pkt_param
-            ).simulator(copy.deepcopy(result.module_env)),
-        }
-        for pkt in packets:
-            outs = {k: sim.process(pkt.copy()) for k, sim in sims.items()}
-            assert len({repr(o) for o in outs.values()}) == 1, outs
-        baseline = _outcome_stats(sims["scan"].stats)
-        for key, sim in sims.items():
-            assert _outcome_stats(sim.stats) == baseline, key
-            assert sim.state == sims["scan"].state, key
+        """use_index / dispatch on-off: all four lowerings agree, on the
+        deployed-config model and on the parametric one (whose config
+        conjuncts the compiled guards evaluate at run time)."""
+        for parametric in (False, True):
+            result = synthesize_cached(name, parametric=parametric)
+            packets = _workload(name, 1000, seed=99)
+            sims = {
+                "scan": ModelSimulator(
+                    result.model,
+                    copy.deepcopy(result.module_env),
+                    pkt_param=result.pkt_param,
+                    use_index=False,
+                ),
+                "indexed": ModelSimulator(
+                    result.model,
+                    copy.deepcopy(result.module_env),
+                    pkt_param=result.pkt_param,
+                ),
+                "compiled-flat": compile_model(
+                    result.model,
+                    pkt_param=result.pkt_param,
+                    dispatch=False,
+                ).simulator(copy.deepcopy(result.module_env)),
+                "compiled-tree": compile_model(
+                    result.model, pkt_param=result.pkt_param
+                ).simulator(copy.deepcopy(result.module_env)),
+            }
+            for pkt in packets:
+                outs = {k: sim.process(pkt.copy()) for k, sim in sims.items()}
+                assert len({repr(o) for o in outs.values()}) == 1, outs
+            baseline = _outcome_stats(sims["scan"].stats)
+            for key, sim in sims.items():
+                assert _outcome_stats(sim.stats) == baseline, (parametric, key)
+                assert sim.state == sims["scan"].state, (parametric, key)
 
     def test_batch_equals_sequential(self):
         result = synthesize_cached("nat")
         packets = _workload("nat", 2000, seed=5)
-        cm = compile_model(
-            result.model, result.module_env, pkt_param=result.pkt_param
-        )
+        cm = compile_model(result.model, pkt_param=result.pkt_param)
         seq = cm.simulator(copy.deepcopy(result.module_env))
         bat = cm.simulator(copy.deepcopy(result.module_env))
         one_by_one = [seq.process(p.copy()) for p in packets]
@@ -182,27 +179,6 @@ class TestCorpusDifferentialFuzz:
         assert _outcome_stats(seq.stats) == _outcome_stats(bat.stats)
         assert seq.stats.guard_evals == bat.stats.guard_evals
         assert seq.state == bat.state
-
-    def test_conservative_lowering_agrees(self):
-        """fold_config=False (no pruning, no cfg inlining) is equivalent."""
-        result = synthesize_cached("firewall")
-        packets = _workload("firewall", 2000, seed=13)
-        plain = compile_model(
-            result.model,
-            result.module_env,
-            pkt_param=result.pkt_param,
-            fold_config=False,
-        )
-        folded = compile_model(
-            result.model, result.module_env, pkt_param=result.pkt_param
-        )
-        assert plain.n_pruned == 0
-        assert folded.n_live <= plain.n_live
-        sim_p = plain.simulator(copy.deepcopy(result.module_env))
-        sim_f = folded.simulator(copy.deepcopy(result.module_env))
-        for pkt in packets:
-            assert sim_p.process(pkt.copy()) == sim_f.process(pkt.copy())
-        assert _outcome_stats(sim_p.stats) == _outcome_stats(sim_f.stats)
 
 
 PKT_DPORT = SVar("pkt.dport", 0, 65535)
@@ -214,9 +190,7 @@ ST_X = SVar("st.x", 0, 100)
 
 def _both_sims(model, state, **compile_kwargs):
     interp = ModelSimulator(model, copy.deepcopy(state))
-    comp = compile_model(model, state, **compile_kwargs).simulator(
-        copy.deepcopy(state)
-    )
+    comp = compile_model(model, **compile_kwargs).simulator(copy.deepcopy(state))
     return interp, comp
 
 
@@ -289,35 +263,35 @@ class TestGuardErrorPaths:
 
 
 class TestConfigFolding:
-    def test_false_config_prunes_entry(self):
+    """Config folds at synthesis time (the deployed-config default); the
+    config conjuncts of a parametric model are evaluated at run time."""
+
+    def test_false_config_never_matches(self):
         live = make_entry(1, config=[mk_app("==", CFG_MODE, 1)],
                           flow=[mk_app("==", PKT_DPORT, 80)])
         dead = make_entry(2, config=[mk_app("==", CFG_MODE, 2)],
                           flow=[mk_app("==", PKT_DPORT, 80)])
-        model = make_model(live, dead)
-        cm = compile_model(model, {"mode": 1})
-        assert cm.n_live == 1 and cm.n_pruned == 1
-        interp, comp = _both_sims(model, {"mode": 1})
-        assert interp.match_entry(Packet(dport=80)) is live
-        assert comp.match_entry(Packet(dport=80)) is live
+        model = make_model(dead, live)
+        for state, hit in (({"mode": 1}, live), ({"mode": 2}, dead)):
+            interp, comp = _both_sims(model, state)
+            assert interp.match_entry(Packet(dport=80)) is hit
+            assert comp.match_entry(Packet(dport=80)) is hit
 
-    def test_unevaluable_config_prunes_entry(self):
-        # Missing config var -> interpreter guard is always
-        # GuardEvalError -> never matches; the compiler prunes it.
+    def test_unevaluable_config_never_matches(self):
+        # Missing config var -> the guard raises GuardEvalError on every
+        # packet -> never matches, in both simulators.
         entry = make_entry(1, config=[mk_app("==", SVar("cfg.gone"), 1)])
-        cm = compile_model(make_model(entry), {})
-        assert cm.n_live == 0 and cm.n_pruned == 1
         interp, comp = _both_sims(make_model(entry), {})
         assert interp.match_entry(Packet()) is None
         assert comp.match_entry(Packet()) is None
 
     def test_corpus_pruning_is_substantial_on_snortlite(self):
-        result = synthesize_cached("snortlite")
-        cm = compile_model(
-            result.model, result.module_env, pkt_param=result.pkt_param
-        )
-        assert cm.n_entries == cm.n_live + cm.n_pruned
-        assert cm.n_live < cm.n_entries  # config partitions really fold
+        deployed = synthesize_cached("snortlite")
+        parametric = synthesize_cached("snortlite", parametric=True)
+        assert not any(e.config for e in deployed.model.all_entries())
+        assert deployed.model.n_entries * 5 < parametric.model.n_entries
+        cm = compile_model(parametric.model, pkt_param=parametric.pkt_param)
+        assert cm.n_entries == parametric.model.n_entries
         assert cm.compile_seconds > 0.0
 
 
@@ -339,7 +313,7 @@ class TestDispatchTree:
         ]
         sim = ModelSimulator(make_model(*entries), {})
         assert sim.index_field == "dport"
-        cm = compile_model(make_model(*entries), {})
+        cm = compile_model(make_model(*entries))
         assert cm._root.field == "dport"
 
     def test_pins_from_and_chains_and_closed_intervals(self):
@@ -353,7 +327,7 @@ class TestDispatchTree:
                 )),
             ],
         )
-        pins = _entry_pins(entry, {})
+        pins = _entry_pins(entry)
         assert pins == {"proto": 6, "dport": 23}
 
     def test_negated_and_or_arms_do_not_pin(self):
@@ -365,7 +339,7 @@ class TestDispatchTree:
                             SApp("==", (PKT_DPORT, 443)))),
             ],
         )
-        assert _entry_pins(entry, {}) == {}
+        assert _entry_pins(entry) == {}
 
     def test_multi_field_dispatch_preserves_priority(self):
         entries = [

@@ -173,10 +173,11 @@ class TestTcpUnfold:
 
 class TestBalanceModel:
     """The Figure-6 check: the synthesized balance model exposes the
-    round-robin index state and the per-mode tables."""
+    round-robin index state and, synthesized parametric, the per-mode
+    tables."""
 
-    def test_mode_tables_exist(self, balance_result):
-        model = balance_result.model
+    def test_mode_tables_exist(self, balance_parametric):
+        model = balance_parametric.model
         configs = set(model.tables)
         assert len(configs) >= 2  # RR table and hash table (+ shared)
 
@@ -193,13 +194,13 @@ class TestBalanceModel:
         texts = [pretty_stmt(s) for e in rr_entries for s in e.state_action_stmts]
         assert any("% len(servers)" in t for t in texts)
 
-    def test_hash_entry_has_no_index_state(self, balance_result):
+    def test_hash_entry_has_no_index_state(self, balance_parametric):
         """Fig. 6, HASH row: backend by hash, no idx state transition."""
         from repro.lang.pretty import pretty_stmt
 
         hash_entries = [
             e
-            for e in balance_result.model.all_entries()
+            for e in balance_parametric.model.all_entries()
             if any("hash" in pretty_stmt(s) for s in e.state_action_stmts)
         ]
         assert hash_entries
