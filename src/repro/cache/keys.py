@@ -32,7 +32,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #:    edit to one handler no longer invalidates siblings in the same file.
 #: 4: synthesis defaults to the deployed configuration (cfgVars stay
 #:    concrete), and SynthesisStats grew solver_unknowns/paths_truncated.
-SCHEMA_VERSION = 4
+#: 5: parametric int ``cfg.*`` leaves span their deployed value, so cached
+#:    parametric models and solver answers over them changed meaning.
+SCHEMA_VERSION = 5
 
 
 def _encode(value: Any, out: bytearray) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.cfg.graph import CFG
-from repro.dataflow.reaching import INITIAL, reaching_definitions
+from repro.dataflow.reaching import INITIAL, stmt_reaching
 from repro.lang.ir import Stmt, stmt_uses
 
 
@@ -56,18 +56,10 @@ def def_use_chains(
     entry_vars: Set[str],
 ) -> DefUseChains:
     """Compute def-use chains from reaching definitions."""
-    in_facts, _ = reaching_definitions(cfg, stmts, entry_vars)
+    rd = stmt_reaching(cfg, stmts, entry_vars)
     chains = DefUseChains()
     for sid, stmt in stmts.items():
         uses = stmt_uses(stmt)
-        if not uses:
-            continue
-        reaching = in_facts.get(sid, frozenset())
-        per_var: Dict[str, Set[int]] = {}
-        for var, def_sid in reaching:
-            if var in uses:
-                per_var.setdefault(var, set()).add(def_sid)
-        for var in uses:
-            per_var.setdefault(var, set())
-        chains.deps[sid] = per_var
+        if uses:
+            chains.deps[sid] = {var: rd.sites(sid, var) for var in uses}
     return chains

@@ -8,25 +8,21 @@ Whole-variable stores kill every earlier definition of the variable.
 A synthetic definition site :data:`INITIAL` represents values flowing in
 from outside the analysed block: function parameters, module globals and
 anything else live-on-entry.
+
+Definitions are indexed once into bit positions, so a fact is an
+``int`` and the solver (:func:`~repro.dataflow.framework.solve`) never
+builds a set; :class:`ReachingMasks` answers per-use queries straight
+off the masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from repro.cfg.graph import CFG, ENTRY, EXIT
-from repro.dataflow.framework import DataflowProblem, solve
-from repro.lang.ir import (
-    LName,
-    LTuple,
-    LValue,
-    Program,
-    SAssign,
-    Stmt,
-    call_mutated_names,
-    stmt_defs,
-)
+from repro.cfg.graph import CFG
+from repro.dataflow.framework import Masks, bits, solve
+from repro.lang.ir import SAssign, Stmt, call_mutated_names, stmt_defs, stmt_scope_names
 
 #: Synthetic sid for definitions that reach from outside the block.
 INITIAL = -100
@@ -39,51 +35,68 @@ def _strong_defs(stmt: Stmt) -> Set[str]:
     """Variables *strongly* (whole-value) defined by ``stmt``."""
     if not isinstance(stmt, SAssign):
         return set()
-    out: Set[str] = set()
-
-    def visit(target: LValue) -> None:
-        if isinstance(target, LName):
-            out.add(target.id)
-        elif isinstance(target, LTuple):
-            for t in target.elts:
-                visit(t)
-
-    for t in stmt.targets:
-        visit(t)
-    # An augmented assign still replaces the whole value of an LName.
-    out -= call_mutated_names(stmt.value)
-    return out
+    # An augmented assign still replaces the whole value of an LName;
+    # a mutating method call on the target only changes part of it.
+    return stmt_scope_names(stmt) - call_mutated_names(stmt.value)
 
 
-class ReachingDefinitions(DataflowProblem[Facts]):
-    """The reaching-definitions problem for one CFG."""
+@dataclass
+class ReachingMasks:
+    """Solved reaching definitions: bit ``i`` is definition ``defs[i]``."""
 
-    direction = "forward"
+    before: Masks
+    after: Masks
+    defs: List[Definition]
+    var_bits: Dict[str, int]
 
-    def __init__(self, stmts: Dict[int, Stmt], entry_vars: Set[str]) -> None:
-        self._stmts = stmts
-        self._entry_vars = entry_vars
+    def sites(self, node: int, var: str) -> Set[int]:
+        """Definition sites of ``var`` reaching the entry of ``node``."""
+        mask = self.before.get(node, 0) & self.var_bits.get(var, 0)
+        return {self.defs[i][1] for i in bits(mask)}
 
-    def bottom(self) -> Facts:
-        return frozenset()
+    def facts(self, masks: Masks) -> Dict[int, Facts]:
+        """Expand per-node masks into ``(var, sid)`` fact sets."""
+        return {n: frozenset(self.defs[i] for i in bits(m)) for n, m in masks.items()}
 
-    def boundary(self) -> Facts:
-        return frozenset((v, INITIAL) for v in self._entry_vars)
 
-    def join(self, a: Facts, b: Facts) -> Facts:
-        return a | b
+def solve_reaching(
+    cfg: CFG,
+    defs: Dict[int, Iterable[str]],
+    strong: Dict[int, Iterable[str]],
+    entry_vars: Iterable[str],
+) -> ReachingMasks:
+    """Reaching definitions over explicit per-node def and strong-def sets.
 
-    def transfer(self, node: int, fact: Facts) -> Facts:
-        stmt = self._stmts.get(node)
-        if stmt is None:
-            return fact
-        defs = stmt_defs(stmt)
-        if not defs:
-            return fact
-        strong = _strong_defs(stmt)
-        surviving = frozenset(d for d in fact if d[0] not in strong)
-        generated = frozenset((v, node) for v in defs)
-        return surviving | generated
+    A node with no definitions passes facts through unchanged; one with
+    definitions kills every definition of its ``strong`` variables and
+    generates its own.
+    """
+    index: List[Definition] = [(v, INITIAL) for v in sorted(set(entry_vars))]
+    boundary = (1 << len(index)) - 1
+    gen: Masks = {}
+    for sid, names in defs.items():
+        first = len(index)
+        index.extend((v, sid) for v in sorted(set(names)))
+        gen[sid] = (1 << len(index)) - (1 << first)
+    var_bits: Dict[str, int] = {}
+    for i, (var, _) in enumerate(index):
+        var_bits[var] = var_bits.get(var, 0) | (1 << i)
+    kill: Masks = {}
+    for sid, mask in gen.items():
+        if mask:
+            for var in strong.get(sid, ()):
+                kill[sid] = kill.get(sid, 0) | var_bits.get(var, 0)
+    before, after = solve(cfg, gen, kill, boundary)
+    return ReachingMasks(before, after, index, var_bits)
+
+
+def stmt_reaching(
+    cfg: CFG, stmts: Dict[int, Stmt], entry_vars: Iterable[str]
+) -> ReachingMasks:
+    """:func:`solve_reaching` with the statements' own def/strong sets."""
+    defs = {sid: stmt_defs(s) for sid, s in stmts.items()}
+    strong = {sid: _strong_defs(s) for sid, s in stmts.items() if defs[sid]}
+    return solve_reaching(cfg, defs, strong, entry_vars)
 
 
 def reaching_definitions(
@@ -97,4 +110,5 @@ def reaching_definitions(
     when the block starts (parameters and globals); their definitions
     appear with the synthetic sid :data:`INITIAL`.
     """
-    return solve(cfg, ReachingDefinitions(stmts, entry_vars))
+    rd = stmt_reaching(cfg, stmts, entry_vars)
+    return rd.facts(rd.before), rd.facts(rd.after)

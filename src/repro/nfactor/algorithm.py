@@ -398,7 +398,10 @@ class NFactor:
                 if isinstance(value, bool):
                     env[var] = SVar(f"cfg.{var}", 0, 1, boolean=True)
                 elif isinstance(value, int):
-                    env[var] = SVar(f"cfg.{var}", 0, (1 << 32) - 1)
+                    # Widened to hold the deployed value (l2switch's
+                    # 48-bit BROADCAST), so pinning it stays satisfiable.
+                    lo, hi = min(0, value), max((1 << 32) - 1, value)
+                    env[var] = SVar(f"cfg.{var}", lo, hi)
 
         for var in sorted(categories.ois_vars):
             value = env.get(var)

@@ -26,12 +26,12 @@ never re-ascends).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.builder import build_cfg
 from repro.cfg.control_dependence import control_dependence
 from repro.cfg.graph import CFG, ENTRY
-from repro.dataflow.framework import DataflowProblem, solve
+from repro.dataflow.reaching import INITIAL, solve_reaching
 from repro.lang.ir import (
     Block,
     ECall,
@@ -188,42 +188,6 @@ def _reverse_topological(graph: Dict[str, Set[str]]) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-class _FunctionDeps(DataflowProblem[FrozenSet[Tuple[str, int]]]):
-    """Reaching definitions with call-aware def/use sets."""
-
-    direction = "forward"
-
-    def __init__(
-        self,
-        stmts: Dict[int, Stmt],
-        defs: Dict[int, Set[str]],
-        entry_vars: Set[str],
-    ) -> None:
-        self._stmts = stmts
-        self._defs = defs
-        self._entry_vars = entry_vars
-
-    def bottom(self):
-        return frozenset()
-
-    def boundary(self):
-        return frozenset((v, -100) for v in self._entry_vars)
-
-    def join(self, a, b):
-        return a | b
-
-    def transfer(self, node, fact):
-        defs = self._defs.get(node, set())
-        if not defs:
-            return fact
-        stmt = self._stmts.get(node)
-        strong: Set[str] = set()
-        if stmt is not None:
-            strong = stmt_scope_names(stmt)
-        surviving = frozenset(d for d in fact if d[0] not in strong)
-        return surviving | frozenset((v, node) for v in defs)
-
-
 def build_sdg(program: Program) -> SDG:
     """Assemble the SDG of a whole program.
 
@@ -312,7 +276,8 @@ def _build_function(
     entry_vars = set(params) | {
         v for uses in aug_uses.values() for v in uses if v not in local
     }
-    in_facts, _ = solve(cfg, _FunctionDeps(stmts, aug_defs, entry_vars))
+    strong = {sid: stmt_scope_names(s) for sid, s in stmts.items()}
+    reaching = solve_reaching(cfg, aug_defs, strong, entry_vars)
 
     # Formal-in nodes for params and referenced globals.
     formal_in: Dict[str, SDGNode] = {}
@@ -343,10 +308,8 @@ def _build_function(
             routed_uses[sid] = set()
 
     def wire_var_deps(var: str, sid: int, target: SDGNode) -> None:
-        for rvar, def_sid in in_facts.get(sid, frozenset()):
-            if rvar != var:
-                continue
-            if def_sid == -100:
+        for def_sid in reaching.sites(sid, var):
+            if def_sid == INITIAL:
                 if var in formal_in:
                     sdg.add_edge(formal_in[var], target, E_INTRA)
             elif def_sid != sid:

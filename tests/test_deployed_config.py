@@ -120,3 +120,20 @@ def test_graph_verdict_loses_only_non_deployed_flows():
         assert len(spaces) - off_config == len(deployed.reachable[sink]), sink
         vanished += off_config
     assert vanished == parametric.n_spaces - deployed.n_spaces > 0
+
+
+@pytest.mark.parametrize("name", nf_names())
+def test_parametric_config_leaf_admits_deployed_value(name):
+    """Every free ``cfg.*`` leaf's domain holds its deployed value (e.g.
+    l2switch's 48-bit ``BROADCAST``), so pinning it is satisfiable."""
+    result = synthesize_cached(name, parametric=True)
+    solver = Solver(cache=False)
+    leaves = [
+        (var, sym)
+        for var, sym in result.sym_env.items()
+        if isinstance(sym, SVar) and sym.name.startswith("cfg.")
+    ]
+    assert leaves, name
+    for var, sym in leaves:
+        pinned = mk_app("==", sym, int(result.module_env[var]))
+        assert solver.check([pinned]).status == "sat", (name, var)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.lang.parser import parse_program
-from repro.nfs import get_nf
+from repro.nfs import get_nf, nf_names
 from repro.pdg.sdg import RET, SDGNode, K_FORMAL_IN, K_FORMAL_OUT, build_sdg, mod_ref
 from repro.slicing.interproc import InterproceduralSlicer
 
@@ -76,12 +78,27 @@ class TestSummaryPrecision:
 
 
 class TestTwoPassSlicing:
+    DESCEND = (
+        "BASE = 7\n"
+        "def compute(v):\n    t = v + BASE\n    return t\n"
+        "def cb(pkt):\n    pkt.ttl = compute(pkt.ttl)\n    send_packet(pkt)\n"
+    )
+    OTHER_CALLER = (
+        "def g(v):\n    return v + 1\n"
+        "def h(pkt):\n    unrelated = g(999)\n    return unrelated\n"
+        "def cb(pkt):\n    pkt.ttl = g(pkt.ttl)\n    send_packet(pkt)\n"
+    )
+    STATE_HELPER = (
+        "tbl = {}\n"
+        "def remember(k, v):\n    tbl[k] = v\n    return 0\n"
+        "def cb(pkt):\n"
+        "    remember(pkt.ip_src, 1)\n"
+        "    if pkt.ip_src in tbl:\n"
+        "        send_packet(pkt)\n"
+    )
+
     def test_slice_descends_into_callee(self):
-        source = (
-            "BASE = 7\n"
-            "def compute(v):\n    t = v + BASE\n    return t\n"
-            "def cb(pkt):\n    pkt.ttl = compute(pkt.ttl)\n    send_packet(pkt)\n"
-        )
+        source = self.DESCEND
         program = parse_program(source, entry="cb")
         slicer = InterproceduralSlicer(program)
         lines = program.source_lines(slicer.slice_from_outputs())
@@ -92,11 +109,7 @@ class TestTwoPassSlicing:
     def test_slice_does_not_bleed_to_other_callers(self):
         # Slicing inside g's body from a criterion reached via cb must
         # not pull in the unrelated caller h (calling-context respect).
-        source = (
-            "def g(v):\n    return v + 1\n"
-            "def h(pkt):\n    unrelated = g(999)\n    return unrelated\n"
-            "def cb(pkt):\n    pkt.ttl = g(pkt.ttl)\n    send_packet(pkt)\n"
-        )
+        source = self.OTHER_CALLER
         program = parse_program(source, entry="cb")
         slicer = InterproceduralSlicer(program)
         lines = program.source_lines(slicer.slice_from_outputs())
@@ -104,14 +117,7 @@ class TestTwoPassSlicing:
         assert "unrelated = g(999)" not in texts
 
     def test_state_helper_sliced_through(self):
-        source = (
-            "tbl = {}\n"
-            "def remember(k, v):\n    tbl[k] = v\n    return 0\n"
-            "def cb(pkt):\n"
-            "    remember(pkt.ip_src, 1)\n"
-            "    if pkt.ip_src in tbl:\n"
-            "        send_packet(pkt)\n"
-        )
+        source = self.STATE_HELPER
         program = parse_program(source, entry="cb")
         slicer = InterproceduralSlicer(program)
         lines = program.source_lines(slicer.slice_from_outputs())
@@ -150,3 +156,50 @@ class TestCorpusCrossCheck:
             # parameter bindings; ignore them for the comparison.
             flat_lines -= self._def_lines(program)
             assert flat_lines <= sdg_lines, result.model.name
+
+
+class TestEdgeSetPinned:
+    """``build_sdg``'s edge set, pinned to what the frozenset worklist
+    solver produced before reaching definitions moved onto bitsets:
+    ``(edge count, sha256 prefix of the sorted edge list)``."""
+
+    PINNED = {
+        "summary": (28, "55790bce62d270ad"),
+        "descend": (31, "44b4f86f3d954d46"),
+        "other_caller": (30, "432ac0a8127512e1"),
+        "state_helper": (46, "1d1ec7f213d98c47"),
+        "balance": (137, "f688eafd68a3449e"),
+        "firewall": (441, "4740b38135cd16f2"),
+        "l2switch": (153, "1275bf6f66c94450"),
+        "loadbalancer": (248, "2ccb43f5fab2552b"),
+        "monitor": (101, "6934d1500026272c"),
+        "nat": (239, "8796f476f0b14fc3"),
+        "proxycache": (217, "b46a995f617a9cdd"),
+        "ratelimiter": (149, "3f1ca51b77734bd7"),
+        "snortlite": (2578, "3a9379d7d2f9c8eb"),
+    }
+
+    @staticmethod
+    def _digest(program):
+        sdg = build_sdg(program)
+        edges = sorted(
+            (tuple(vars(src).values()), tuple(vars(dst).values()), kind)
+            for dst, preds in sdg.preds.items()
+            for src, kind in preds.items()
+        )
+        return len(edges), hashlib.sha256(repr(edges).encode()).hexdigest()[:16]
+
+    def test_edge_sets_unchanged(self):
+        sources = {
+            "summary": TestSummaryPrecision.SOURCE,
+            "descend": TestTwoPassSlicing.DESCEND,
+            "other_caller": TestTwoPassSlicing.OTHER_CALLER,
+            "state_helper": TestTwoPassSlicing.STATE_HELPER,
+        }
+        got = {
+            name: self._digest(parse_program(source, entry="cb"))
+            for name, source in sources.items()
+        }
+        for name in nf_names():
+            got[name] = self._digest(parse_program(get_nf(name).source))
+        assert got == self.PINNED
