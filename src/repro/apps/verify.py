@@ -106,12 +106,18 @@ def push_space(
     recorded as extra input/state constraints.  ``ns`` namespaces the
     model's state leaves so the same NF at two points in the network
     keeps distinct state.
+
+    The input space is absorbed into one solver context once; each
+    entry's guard is checked on a copy of it, which gives the same
+    answer as checking ``space.constraints + guard`` from scratch
+    (docs/internals.md §7).
     """
     out: List[HeaderSpace] = []
+    base = solver.context()
+    solver.absorb_into(base, space.constraints)
     for entry in model.all_entries():
         guard = [subst_fields(c, space.fields, ns) for c in entry.guard()]
-        combined = space.constraints + guard
-        if not solver.check(combined).feasible:
+        if not solver.check_assuming(base, guard).feasible:
             continue
         if entry.drops:
             continue
@@ -121,7 +127,7 @@ def push_space(
         out.append(
             HeaderSpace(
                 fields=rewritten,
-                constraints=combined,
+                constraints=space.constraints + guard,
                 trace=space.trace + [(model.name, entry.entry_id)],
             )
         )

@@ -34,7 +34,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #:    concrete), and SynthesisStats grew solver_unknowns/paths_truncated.
 #: 5: parametric int ``cfg.*`` leaves span their deployed value, so cached
 #:    parametric models and solver answers over them changed meaning.
-SCHEMA_VERSION = 5
+#: 6: the solver draws free ``member`` atoms and accepts only functionally
+#:    consistent witnesses, so persisted answers for existing keys changed.
+SCHEMA_VERSION = 6
 
 
 def _encode(value: Any, out: bytearray) -> None:

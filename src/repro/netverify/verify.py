@@ -154,6 +154,9 @@ class VerifyStats:
     dirty_edges: int = 0
     spaces_total: int = 0
     truncated_spaces: int = 0
+    #: Solver ``unknown`` answers in the edge tasks this run computed
+    #: and in witness extraction (cache hits run no solver).
+    solver_unknowns: int = 0
     elapsed_s: float = 0.0
     #: Per-node hit/recompute counts (dirty-region introspection).
     node_hits: Dict[str, int] = field(default_factory=dict)
@@ -167,6 +170,7 @@ class VerifyStats:
             "dirty_edges": self.dirty_edges,
             "spaces_total": self.spaces_total,
             "truncated_spaces": self.truncated_spaces,
+            "solver_unknowns": self.solver_unknowns,
             "elapsed_s": self.elapsed_s,
         }
 
@@ -232,7 +236,8 @@ class GraphVerdict:
             f"{'reachable' if self.can_reach else 'BLACKHOLED'} "
             f"({self.n_spaces} space(s) across {len(self.reachable)} sink(s)); "
             f"{s.edges} edges, {s.cache_hits} cache hits, "
-            f"{s.dirty_edges} recomputed, {s.elapsed_s * 1000:.1f} ms"
+            f"{s.dirty_edges} recomputed, {s.solver_unknowns} solver unknown(s), "
+            f"{s.elapsed_s * 1000:.1f} ms"
         )
 
 
@@ -269,6 +274,7 @@ class GraphVerifier:
         t0 = time.perf_counter()
         config = self.config
         stats = VerifyStats()
+        unknowns_before = self.solver.unknown_hits
         init = space or HeaderSpace.universe()
         store = artifact_cache.get_store()
         use_cache = config.use_cache and store.enabled
@@ -324,7 +330,10 @@ class GraphVerifier:
                     )
                     for name, _idx, inp, _key in pending
                 ]
-                summaries = compute_edge_summaries(payloads, config.jobs)
+                summaries = []
+                for summary, unknowns in compute_edge_summaries(payloads, config.jobs):
+                    summaries.append(summary)
+                    stats.solver_unknowns += unknowns
             else:
                 summaries = [
                     compute_edge_summary(
@@ -352,6 +361,7 @@ class GraphVerifier:
 
         reachable = {sink: outputs.get(sink, []) for sink in self.graph.sinks()}
         witnesses = self._witnesses(reachable, config.max_witnesses)
+        stats.solver_unknowns += self.solver.unknown_hits - unknowns_before
         stats.elapsed_s = time.perf_counter() - t0
         self._count("verify.edges", stats.edges)
         self._count("verify.cache.hits", stats.cache_hits)

@@ -314,14 +314,15 @@ def explore_frontier_parts(
 # ---------------------------------------------------------------------------
 
 
-def _edge_worker(payload: Tuple[Any, ...]) -> Tuple[Any, Dict[str, Any], str]:
+def _edge_worker(payload: Tuple[Any, ...]) -> Tuple[Any, int, Dict[str, Any], str]:
     """Compute one edge transfer summary in a fresh solver.
 
     The payload is ``(model, ns, space, solver_cache)``; the summary is
     a pure function of it (the solver derives its samples from the
     constraint set, not from process state), so relocating the call
-    into a worker cannot change the bytes.  Never raises — errors come
-    home as formatted tracebacks for the parent to surface coherently.
+    into a worker cannot change the bytes.  The solver's ``unknown``
+    count comes home beside it.  Never raises — errors come home as
+    formatted tracebacks for the parent to surface coherently.
     """
     from repro import obs
     from repro.netverify.verify import compute_edge_summary
@@ -330,19 +331,19 @@ def _edge_worker(payload: Tuple[Any, ...]) -> Tuple[Any, Dict[str, Any], str]:
     model, ns, space, solver_cache = payload
     try:
         with obs.observed() as (_tracer, registry):
-            summary = compute_edge_summary(
-                model, ns, space, Solver(cache=solver_cache)
-            )
+            solver = Solver(cache=solver_cache)
+            summary = compute_edge_summary(model, ns, space, solver)
             snapshot = registry.snapshot()
-        return summary, snapshot, ""
+        return summary, solver.unknown_hits, snapshot, ""
     except Exception:
-        return None, {}, traceback.format_exc(limit=8)
+        return None, 0, {}, traceback.format_exc(limit=8)
 
 
 def compute_edge_summaries(
     payloads: Sequence[Tuple[Any, ...]], jobs: int
-) -> List[Any]:
-    """Fan edge tasks out over a process pool; summaries in input order.
+) -> List[Tuple[Any, int]]:
+    """Fan edge tasks out over a process pool; ``(summary, solver
+    unknowns)`` pairs in input order.
 
     Mirrors :func:`explore_frontier_parts`: worker metrics snapshots
     fold into the parent's ambient registry, a worker failure raises in
@@ -359,13 +360,13 @@ def compute_edge_summaries(
             raw = list(pool.map(_edge_worker, payloads))
 
     registry = obs_metrics.active()
-    out: List[Any] = []
-    for summary, snapshot, error in raw:
+    out: List[Tuple[Any, int]] = []
+    for summary, unknowns, snapshot, error in raw:
         if error:
             raise RuntimeError(f"edge worker failed:\n{error}")
         if registry.enabled and snapshot:
             registry.merge(snapshot)
-        out.append(summary)
+        out.append((summary, unknowns))
     return out
 
 

@@ -425,6 +425,7 @@ def _op_verify_graph(body: Dict[str, Any]) -> Dict[str, Any]:
         "sinks": sorted(verdict.reachable),
         "can_reach": verdict.can_reach,
         "n_spaces": verdict.n_spaces,
+        "solver_unknowns": stats.solver_unknowns,
         "traces": [
             [[name, entry_id] for name, entry_id in trace]
             for trace in verdict.traces(limit=max_traces)

@@ -72,8 +72,14 @@ from repro.symbolic.expr import (
     interning,
     is_concrete,
     mk_app,
+    sym_vars,
 )
-from repro.symbolic.solver import DEFAULT_MAX_SAMPLES, Solver, SolverContext
+from repro.symbolic.solver import (
+    DEFAULT_MAX_SAMPLES,
+    Solver,
+    SolverContext,
+    consistent_witness,
+)
 from repro.symbolic.state import PathResult, SymState, state_signature, sym_copy
 from repro.symbolic.strategies import VALID_STRATEGIES, Strategy, make_strategy
 from repro.util.timer import Stopwatch
@@ -503,7 +509,7 @@ class SymbolicEngine:
                 ctx = base.copy()
                 self.solver.absorb_into(ctx, delta)
             for arm, was_feasible in arms:
-                if self.solver.check_assuming(ctx, arm).feasible != was_feasible:
+                if self.solver.check_assuming(ctx, [arm]).feasible != was_feasible:
                     return False
         self.stats.pruned_subsumed += 1
         obs_metrics.counter("se.pruned_subsumed").inc()
@@ -780,12 +786,19 @@ class SymbolicEngine:
         # arm can never be refuted by the (sound-unsat) solver — so the
         # shortcut cannot change which paths exist, only how many
         # checks it takes to find them.
+        # The witness's verdict on ``cond`` counts only if the witness,
+        # with eval_sym's defaults for the leaves ``cond`` adds, is
+        # functionally consistent — one some dict state can produce.
         wit = state.witness if self.config.witness_shortcut else None
         wtruth: Optional[bool] = None
         if wit is not None:
             try:
                 wtruth = bool(eval_sym(cond, wit))
             except Exception:
+                wtruth = None
+            if wtruth is not None and not consistent_witness(
+                sym_vars([cond, *state.constraints]), wit
+            ):
                 wtruth = None
 
         if is_loop and state.loop_counts[stmt.sid] > self.config.loop_bound:
@@ -882,17 +895,19 @@ class SymbolicEngine:
     def _witness_absorb(self, state: SymState, atom: Any) -> None:
         """Keep the witness invariant across an implicitly-appended
         constraint: extend the assignment if the whole path condition
-        still holds, drop the witness otherwise."""
+        still holds and the result stays functionally consistent, drop
+        the witness otherwise."""
         wit = state.witness
         if wit is None or not self.config.witness_shortcut:
             return
         try:
-            if bool(eval_sym(atom, wit)):
-                return
-            extended = dict(wit)
-            extended[canon(atom)] = True
-            if all(bool(eval_sym(c, extended)) for c in state.constraints):
-                state.witness = extended
+            if not bool(eval_sym(atom, wit)):
+                wit = dict(wit)
+                wit[canon(atom)] = True
+                if not all(bool(eval_sym(c, wit)) for c in state.constraints):
+                    wit = None
+            if wit is not None and consistent_witness(sym_vars(state.constraints), wit):
+                state.witness = wit
                 return
         except Exception:
             pass

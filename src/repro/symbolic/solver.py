@@ -10,7 +10,14 @@ hash/modulo expressions.  The solver therefore combines
    sets per symbolic leaf, plus a union-find over leaf equalities;
 2. **guided concrete sampling** — deterministic randomized assignments
    drawn from the propagated domains, checked by direct evaluation
-   (:func:`repro.symbolic.expr.eval_sym`).
+   (:func:`repro.symbolic.expr.eval_sym`).  ``member`` atoms that
+   propagation leaves free are drawn too (``False`` in the first,
+   deterministic draw; a seeded coin flip in every randomized one).
+
+A witness is accepted only when it satisfies every conjunct *and* is
+functionally consistent (:func:`consistent_witness`): two ``member``
+atoms, or two value leaves ``d[k1]``/``d[k2]``, of one dict whose keys
+evaluate equal carry the same value, so some dict state realizes it.
 
 The result is *sound for UNSAT* only when propagation finds a direct
 conflict; otherwise sampling either proves SAT with a witness or
@@ -36,7 +43,11 @@ Performance layer (docs/internals.md §7):
   instead of re-propagating the whole prefix.  The context falls back
   to full re-propagation whenever leaf-equality classes merge, because
   class-wide domain intersection is not expressible as a single-atom
-  update.
+  update.  A caller that probes many extensions of one prefix — the
+  engine's subsumption validator, or ``apps/verify.push_space`` with
+  one input space against every table entry — absorbs the prefix once
+  (:meth:`Solver.absorb_into`) and checks each extension on a copy
+  (:meth:`Solver.check_assuming`).
 """
 
 from __future__ import annotations
@@ -543,25 +554,25 @@ class Solver:
         Lets a caller build a reusable propagated base for a shared
         constraint prefix — the engine's subsumption validator absorbs
         a state's path condition once and re-checks many recorded
-        branch arms against copies (:meth:`check_assuming`).
+        branch arms against copies, and ``push_space`` absorbs its
+        input space once for every table entry (:meth:`check_assuming`).
         """
         for c in constraints:
             if ctx.conflict:
                 return
             self._absorb(ctx, c)
 
-    def check_assuming(self, ctx: SolverContext, extra: Any) -> SolverResult:
-        """Decide ``ctx``'s absorbed conjunction extended by ``extra``.
+    def check_assuming(self, ctx: SolverContext, extras: Sequence[Any]) -> SolverResult:
+        """Decide ``ctx``'s absorbed conjunction extended by ``extras``.
 
         ``ctx`` is left untouched (the check runs on a copy), so one
         propagated prefix can serve any number of assumption probes.
         The result is identical to :meth:`check` on the full list —
-        absorption order is prefix-then-extra either way.
+        absorption order is prefix-then-extras either way.
         """
         t0 = time.perf_counter()
         child = ctx.copy()
-        if not child.conflict:
-            self._absorb(child, extra)
+        self.absorb_into(child, extras)
         return self._finish(child, t0)
 
     # -- incremental absorption -------------------------------------------
@@ -909,8 +920,11 @@ class Solver:
             doms[key] = dom
             pools[key] = dom.sample_pool()
 
+        groups = _dict_groups(leaves)
+
         # Representative-per-class assignment honouring the union-find.
-        def assign(draw) -> Assignment:
+        # Member atoms that propagation left free take ``draw_member()``.
+        def assign(draw, draw_member) -> Assignment:
             by_root: Dict[str, int] = {}
             assignment: Assignment = {}
             for key in leaf_keys:
@@ -919,11 +933,14 @@ class Solver:
                     by_root[root] = draw(key, doms[key])
                 assignment[key] = by_root[root]
             for key in member_keys:
-                assignment[key] = members.get(key, False)
+                pinned = members.get(key)
+                assignment[key] = draw_member() if pinned is None else pinned
             return assignment
 
         def ok(assignment: Assignment) -> bool:
-            return all(_eval_bool(c, assignment) for c in constraints)
+            return all(_eval_bool(c, assignment) for c in constraints) and (
+                _groups_consistent(groups, assignment)
+            )
 
         # Attempt 1: the deterministic "pool" assignment.
         def pool_draw(key: str, dom: _Domain) -> int:
@@ -931,7 +948,7 @@ class Solver:
             value = pool[0] if pool else dom.lo
             return dom.apply_masks(value)
 
-        candidate = assign(pool_draw)
+        candidate = assign(pool_draw, lambda: False)
         if ok(candidate):
             return candidate
 
@@ -956,8 +973,11 @@ class Solver:
                     return value
             return dom.apply_masks(dom.lo)
 
+        def rand_member() -> bool:
+            return rng.random() < 0.5
+
         for _ in range(self.max_samples):
-            candidate = assign(rand_draw)
+            candidate = assign(rand_draw, rand_member)
             if ok(candidate):
                 return candidate
         return None
@@ -977,6 +997,53 @@ def _eval_bool(c: Any, assignment: Assignment) -> bool:
         return bool(eval_sym(c, assignment))
     except Exception:
         return False
+
+
+def consistent_witness(leaves: Iterable[Sym], assignment: Assignment) -> bool:
+    """True when some dict state realizes ``assignment`` over ``leaves``.
+
+    Two ``member`` atoms of one dict whose keys evaluate equal must
+    carry the same value; so must two value leaves ``d[k1]`` and
+    ``d[k2]`` with the same component path.  Leaves are evaluated with
+    :func:`eval_sym`, so unassigned ones take its defaults (``0`` /
+    ``False``) — the same values a caller evaluating a constraint on a
+    partial witness relies on.
+    """
+    return _groups_consistent(_dict_groups(leaves), assignment)
+
+
+def _dict_groups(leaves: Iterable[Sym]) -> List[List[Tuple[Any, Sym]]]:
+    """``(key expression, leaf)`` pairs that may name one dict slot.
+
+    ``member`` atoms group by dict, value leaves by dict and component
+    path; only groups of two or more can disagree, so only those are
+    kept.
+    """
+    slots: Dict[Tuple[Any, ...], List[Tuple[Any, Sym]]] = {}
+    for leaf in leaves:
+        if isinstance(leaf, SDictVal):
+            if leaf.key is not None:
+                slot = ("value", leaf.dict_name, leaf.path)
+                slots.setdefault(slot, []).append((leaf.key, leaf))
+        elif _is_member(leaf):
+            slots.setdefault(("member", leaf.args[0]), []).append((leaf.args[1], leaf))
+    return [group for group in slots.values() if len(group) > 1]
+
+
+def _groups_consistent(
+    groups: List[List[Tuple[Any, Sym]]], assignment: Assignment
+) -> bool:
+    for group in groups:
+        seen: Dict[Any, Any] = {}
+        for key_expr, leaf in group:
+            try:
+                key = eval_sym(key_expr, assignment)
+                value = eval_sym(leaf, assignment)
+                if seen.setdefault(key, value) != value:
+                    return False
+            except Exception:
+                continue  # an unevaluable or unhashable key names no slot
+    return True
 
 
 def _expand_conjunction(c: Any, out: List[Any]) -> None:

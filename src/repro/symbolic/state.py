@@ -54,8 +54,9 @@ class SymState:
     solver_ctx: Optional["SolverContext"] = field(default=None, repr=False, compare=False)
     #: A concrete assignment known to satisfy the whole path condition
     #: (every constraint evaluates true under it, unassigned leaves
-    #: taking :func:`repro.symbolic.expr.eval_sym`'s defaults), or None
-    #: when the last feasibility answer was "unknown".  Maintained by
+    #: taking :func:`repro.symbolic.expr.eval_sym`'s defaults) that some
+    #: dict state realizes (:func:`repro.symbolic.solver.consistent_witness`),
+    #: or None when the last feasibility answer was "unknown".  Maintained by
     #: the engine's witness shortcut; never mutated in place (always
     #: replaced), so forks may share the reference.
     witness: Optional[Dict[str, Any]] = field(

@@ -25,17 +25,17 @@ from repro.symbolic.solver import Solver
 
 N_PACKETS = 600
 
-#: Checks still undecided under the deployed config.  l2switch's guards
-#: put a ``member`` atom under a top-level ``or``; the sampling solver
-#: cannot decide those without a case split on the ``or``.
-DEPLOYED_UNKNOWNS = {"l2switch": 3}
+#: Checks still undecided under the deployed config: none.  l2switch's
+#: guards put a ``member`` atom under a top-level ``or``; the solver
+#: decides them because its randomized draws set free ``member`` atoms.
+DEPLOYED_UNKNOWNS = {name: 0 for name in nf_names()}
 
 
 class TestSolverOutcomesSurfaced:
     def test_deployed_config_unknowns_and_truncation(self):
         for name in nf_names():
             stats = synthesize_cached(name).stats
-            assert stats.solver_unknowns == DEPLOYED_UNKNOWNS.get(name, 0), name
+            assert stats.solver_unknowns == DEPLOYED_UNKNOWNS[name], name
             assert stats.paths_truncated == 0, name
 
     def test_parametric_snortlite_has_unknowns(self):

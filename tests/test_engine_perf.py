@@ -19,7 +19,8 @@ from repro.nfs import get_nf, nf_names
 from repro.obs import metrics as obs_metrics
 from repro.pdg.flatten import flatten_program
 from repro.symbolic.engine import EngineConfig, ExploreStats, SymbolicEngine
-from repro.symbolic.expr import SymPacket
+from repro.symbolic.expr import SApp, SymDict, SymPacket, leaf_key, mk_app
+from repro.symbolic.state import SymState
 from repro.symbolic.strategies import VALID_STRATEGIES, make_strategy
 
 
@@ -153,3 +154,66 @@ class TestAccounting:
             states_explored=5, pruned_subsumed=2, paths_truncated=1
         )
         assert stats.states_total == 8
+
+
+# Two programs whose witness shortcut, unchecked, would carry a witness
+# no dict state produces: a key defaulted to ``0`` (a non-member) or an
+# implicit read's ``member`` atom set true, colliding with a leaf the
+# witness already holds, ahead of a branch asking for ``sport == dport``.
+ALIASED_MEMBERSHIP_SOURCE = (
+    "def cb(pkt):\n"
+    "    if pkt.sport in seen:\n"
+    "        if pkt.dport not in seen:\n"
+    "            if pkt.sport == pkt.dport:\n"
+    "                send_packet(pkt)\n"
+)
+ALIASED_READ_SOURCE = (
+    "def cb(pkt):\n"
+    "    if pkt.sport not in seen:\n"
+    "        x = seen[pkt.dport]\n"
+    "        if pkt.sport == pkt.dport:\n"
+    "            send_packet(pkt)\n"
+)
+
+
+def _explore_membership(source: str, witness_shortcut: bool):
+    flat = flatten_program(parse_program(source, entry="cb"))
+    engine = SymbolicEngine(
+        EngineConfig(witness_shortcut=witness_shortcut, solver_cache=False)
+    )
+    paths = engine.explore(
+        list(flat.block), {"pkt": SymPacket.fresh(), "seen": SymDict("seen")}
+    )
+    return [p.branches for p in paths], engine
+
+
+class TestWitnessShortcutRealizable:
+    @pytest.mark.parametrize(
+        "source, witness_hits",
+        [(ALIASED_MEMBERSHIP_SOURCE, 2), (ALIASED_READ_SOURCE, 1)],
+    )
+    def test_shortcut_rejects_functionally_inconsistent_witness(
+        self, source, witness_hits
+    ):
+        """The shortcut may only skip checks the solver would answer
+        ``sat``: the equal-keys arm stays undecided, as without it."""
+        on_paths, on = _explore_membership(source, witness_shortcut=True)
+        off_paths, off = _explore_membership(source, witness_shortcut=False)
+        assert on_paths == off_paths
+        assert on.solver.unknown_hits == off.solver.unknown_hits == 1
+        assert on.stats.witness_hits == witness_hits
+
+    def test_implicit_read_keeps_only_realizable_witness(self):
+        """An implicit read's ``member`` atom, set true on the carried
+        witness, must not collide with a non-member of equal key."""
+        engine = SymbolicEngine(EngineConfig(solver_cache=False))
+        sport = SymPacket.fresh().get("sport")
+        dport = SymPacket.fresh().get("dport")
+        read = SApp("member", ("seen", dport))
+        for witness, kept in (({}, False), ({leaf_key(sport): 1}, True)):
+            state = SymState(
+                pc=0, env={}, constraints=[mk_app("not", SApp("member", ("seen", sport))), read]
+            )
+            state.witness = witness
+            engine._witness_absorb(state, read)
+            assert (state.witness is not None) == kept, witness

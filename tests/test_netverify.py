@@ -9,12 +9,14 @@ region (the edited node and everything downstream).
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro import cache as artifact_cache
 from repro import obs
-from repro.apps.verify import HeaderSpace
+from repro.apps.verify import HeaderSpace, push_space, subst_fields
+from repro.netverify import verify as netverify_verify
 from repro.netverify import (
     GraphVerifier,
     GraphVerifyConfig,
@@ -25,6 +27,7 @@ from repro.netverify import (
 from repro.netverify.graph import _synthesized
 from repro.netverify.verify import (
     EdgeSummary,
+    _space_payload,
     compute_edge_summary,
     edge_key,
     space_fingerprint,
@@ -191,6 +194,7 @@ class TestGraphVerifierIdentity:
                 g, config=GraphVerifyConfig(use_cache=False, jobs=2)
             ).verify()
             assert seq.to_json() == par.to_json()
+            assert seq.stats.solver_unknowns == par.stats.solver_unknowns
 
     def test_witnesses_are_json_safe_and_stable(self, tmp_path):
         with artifact_cache.override(directory=str(tmp_path), enabled=True):
@@ -283,6 +287,101 @@ class TestObsAndStats:
         assert verdict.stats.truncated_spaces > 0
 
 
+#: Solver ``unknown`` answers in a cold verify of
+#: ``generate_graph(8, seed=1, width=4)`` with the solver cache off.  The
+#: ones left need a case split: l2switch's hairpin check
+#: ``cond(eth_dst == eth_src, in_port, mac_table[eth_dst]) == in_port``.
+COLD_VERIFY_MAX_UNKNOWNS = 14
+
+
+@pytest.fixture(scope="module")
+def cold_graph_run():
+    """One cold verify of the 8-node graph: its edge tasks and verdict."""
+    tasks = []
+    real = netverify_verify.compute_edge_summary
+
+    def record(model, ns, space, solver):
+        tasks.append((model, ns, space))
+        return real(model, ns, space, solver)
+
+    with artifact_cache.override(enabled=False), mock.patch.object(
+        netverify_verify, "compute_edge_summary", record
+    ):
+        graph = generate_graph(8, seed=1, width=4)
+        config = GraphVerifyConfig(use_cache=False, solver_cache=False)
+        verdict = GraphVerifier(graph, config=config).verify()
+    return tasks, verdict
+
+
+def _reference_push_space(model, space, ns, solver):
+    """The per-entry loop ``push_space`` replaced: each guard is checked
+    with the input space's constraints from scratch.  Returns every
+    entry's ``(status, witness)`` and the output spaces."""
+    answers, out = [], []
+    for entry in model.all_entries():
+        guard = [subst_fields(c, space.fields, ns) for c in entry.guard()]
+        combined = space.constraints + guard
+        result = solver.check(combined)
+        answers.append((result.status, result.assignment))
+        if not result.feasible or entry.drops:
+            continue
+        rewritten = dict(space.fields)
+        for name, value in entry.flow_transform().items():
+            rewritten[name] = subst_fields(value, space.fields, ns)
+        out.append(
+            HeaderSpace(
+                fields=rewritten,
+                constraints=combined,
+                trace=space.trace + [(model.name, entry.entry_id)],
+            )
+        )
+    return answers, out
+
+
+class TestPushSpaceAbsorbsOnce:
+    def test_matches_per_entry_reference_on_every_edge_task(self, cold_graph_run):
+        tasks, verdict = cold_graph_run
+        assert len(tasks) == verdict.stats.dirty_edges > 0
+        for model, ns, space in tasks:
+            solver = Solver(cache=False)
+            answers = []
+            check_assuming = solver.check_assuming
+
+            def recording(ctx, extras):
+                result = check_assuming(ctx, extras)
+                answers.append((result.status, result.assignment))
+                return result
+
+            solver.check_assuming = recording
+            outputs = push_space(model, space, ns, solver)
+            expected_answers, expected = _reference_push_space(
+                model, space, ns, Solver(cache=False)
+            )
+            assert answers == expected_answers, (model.name, ns)
+            assert [_space_payload(s) for s in outputs] == [
+                _space_payload(s) for s in expected
+            ], (model.name, ns)
+
+    def test_cold_verify_unknowns_pinned(self, cold_graph_run):
+        _tasks, verdict = cold_graph_run
+        assert verdict.stats.solver_unknowns <= COLD_VERIFY_MAX_UNKNOWNS
+        assert f"{verdict.stats.solver_unknowns} solver unknown(s)" in verdict.summary()
+        assert verdict.stats.as_dict()["solver_unknowns"] == verdict.stats.solver_unknowns
+
+    def test_parallel_run_counts_worker_unknowns(self, cold_graph_run):
+        _tasks, verdict = cold_graph_run
+        with artifact_cache.override(enabled=False):
+            graph = generate_graph(8, seed=1, width=4)
+            config = GraphVerifyConfig(use_cache=False, solver_cache=False, jobs=2)
+            parallel = GraphVerifier(graph, config=config).verify()
+        assert parallel.to_json() == verdict.to_json()
+        assert parallel.stats.solver_unknowns == verdict.stats.solver_unknowns > 0
+
+    def test_unknowns_stay_out_of_verdict_bytes(self, cold_graph_run):
+        _tasks, verdict = cold_graph_run
+        assert "solver_unknowns" not in verdict.to_json()
+
+
 class TestServeOp:
     def test_op_verify_graph_explicit_nodes(self, tmp_path):
         from repro.serve.jobs import _op_verify_graph
@@ -301,6 +400,7 @@ class TestServeOp:
             assert warm["graph"] == cold["graph"]
             assert warm["traces"] == cold["traces"]
             assert warm["witnesses"] == cold["witnesses"]
+            assert isinstance(cold["solver_unknowns"], int)
             json.dumps(warm)  # the whole envelope must be JSON-safe
 
     def test_op_verify_graph_generate(self, tmp_path):

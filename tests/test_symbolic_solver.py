@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.symbolic.expr import SApp, SVar, eval_sym, leaf_key, mk_app
-from repro.symbolic.solver import Solver
+from repro.symbolic.expr import SApp, SDictVal, SVar, canon, eval_sym, leaf_key, mk_app, sym_vars
+from repro.symbolic.solver import Solver, consistent_witness
 
 X = SVar("pkt.x", 0, 1000)
 Y = SVar("pkt.y", 0, 1000)
@@ -164,3 +168,164 @@ class TestWitnessSoundness:
         # x == a ∧ y == b is always satisfiable within domains.
         result = check(mk_app("==", X, a), mk_app("==", Y, b))
         assert result.status == "sat"
+
+
+MAC_HI = (1 << 48) - 1
+SRC = SVar("pkt.eth_src", 0, MAC_HI)
+DST = SVar("pkt.eth_dst", 0, MAC_HI)
+PORT = SVar("pkt.in_port", 0, 255)
+K1 = SVar("pkt.k1", 0, 3)
+K2 = SVar("pkt.k2", 0, 3)
+
+
+def member(d, key):
+    return SApp("member", (d, key))
+
+
+def read(d, key):
+    return SDictVal(d, canon(key), key=key)
+
+
+def satisfies_all(result, constraints):
+    return all(bool(eval_sym(c, result.assignment)) for c in constraints)
+
+
+class TestMemberDraws:
+    def test_l2switch_forwarding_guard_is_sat(self):
+        """l2switch's forwarding guard for a newly learned source: the
+        destination is known either by aliasing that source or by
+        pre-state membership, and its port differs from the ingress
+        port.  Only the membership arm meets the last conjunct, so the
+        witness must set the ``member`` atom that sits under the ``or``."""
+        known = member("mac_table", DST)
+        out_port = mk_app("cond", mk_app("==", DST, SRC), PORT, read("mac_table", DST))
+        constraints = [
+            mk_app("!=", SRC, MAC_HI),
+            mk_app("not", member("mac_table", SRC)),
+            mk_app("!=", DST, MAC_HI),
+            mk_app("or", mk_app("==", DST, SRC), known),
+            mk_app("!=", out_port, PORT),
+        ]
+        result = check(*constraints)
+        assert result.status == "sat"
+        assert result.assignment[leaf_key(known)] is True
+        assert satisfies_all(result, constraints)
+        assert consistent_witness(sym_vars(constraints), result.assignment)
+
+    def test_pool_draw_keeps_free_members_false(self):
+        atom = member("t", X)
+        result = check(mk_app("or", mk_app("==", X, 3), atom))
+        assert result.status == "sat"
+        assert result.assignment[leaf_key(atom)] is False
+
+
+class TestFunctionalConsistency:
+    def test_equal_keys_opposite_membership_is_never_sat(self):
+        constraints = [
+            member("d", X),
+            mk_app("not", member("d", Y)),
+            mk_app("==", X, 5),
+            mk_app("==", Y, 5),
+        ]
+        assert check(*constraints).status != "sat"
+
+    def test_equal_keys_different_values_is_never_sat(self):
+        constraints = [
+            mk_app("==", X, Y),
+            mk_app("!=", read("d", X), read("d", Y)),
+        ]
+        assert check(*constraints).status != "sat"
+
+    def test_helper_ignores_distinct_dicts_and_paths(self):
+        a = SDictVal("d", canon(X), (0,), key=X)
+        b = SDictVal("d", canon(Y), (1,), key=Y)
+        witness = {leaf_key(X): 1, leaf_key(Y): 1, leaf_key(a): 7, leaf_key(b): 8}
+        assert consistent_witness({a, b}, witness)
+        mx, my = member("d", X), member("e", Y)
+        assert consistent_witness({mx, my}, {leaf_key(mx): True})
+        assert not consistent_witness(
+            {mx, member("d", Y)}, {leaf_key(X): 1, leaf_key(Y): 1, leaf_key(mx): True}
+        )
+
+
+@st.composite
+def dict_conjunctions(draw):
+    """Conjunctions over two small keys, their ``member`` atoms and dict
+    reads: keys collide often, so consistency matters."""
+    keys = (K1, K2)
+    atoms = [
+        lambda: member("d", draw(st.sampled_from(keys))),
+        lambda: mk_app("not", member("d", draw(st.sampled_from(keys)))),
+        lambda: mk_app(
+            "or",
+            mk_app("==", K1, K2),
+            member("d", draw(st.sampled_from(keys))),
+        ),
+        lambda: mk_app(
+            draw(st.sampled_from(["==", "!=", "<", ">="])),
+            read("d", draw(st.sampled_from(keys))),
+            draw(st.integers(0, 3)),
+        ),
+        lambda: mk_app(
+            draw(st.sampled_from(["==", "!="])),
+            read("d", K1),
+            read("d", K2),
+        ),
+        lambda: mk_app(
+            draw(st.sampled_from(["==", "!="])),
+            draw(st.sampled_from(keys)),
+            draw(st.integers(0, 3)),
+        ),
+        lambda: mk_app(draw(st.sampled_from(["==", "!="])), K1, K2),
+    ]
+    n = draw(st.integers(1, 5))
+    out = [atoms[draw(st.integers(0, len(atoms) - 1))]() for _ in range(n)]
+    return [c for c in out if not isinstance(c, bool)]
+
+
+class TestRealizableWitnesses:
+    @settings(max_examples=150, deadline=None)
+    @given(dict_conjunctions())
+    def test_sat_witness_satisfies_and_is_consistent(self, constraints):
+        result = Solver(seed=0, max_samples=40).check(constraints)
+        if result.status == "sat":
+            assert satisfies_all(result, constraints)
+            assert consistent_witness(sym_vars(constraints), result.assignment)
+
+
+#: The Solver entry points perfbench wraps to time ``symbolic.solver``
+#: (the ``for method in (...)`` loops of its synth-cold and
+#: verify-incremental workloads), plus ``model``, which goes through
+#: ``check``.
+TRACED_ENTRY_POINTS = {"check", "check_extended", "check_assuming"}
+
+
+class TestTracedEntryPoints:
+    def test_result_returning_methods_are_the_traced_ones(self):
+        """A new public method answering a satisfiability query would
+        bypass perfbench's ``symbolic.solver.*`` timings."""
+        answering = {
+            name
+            for name, member_ in vars(Solver).items()
+            if not name.startswith("_")
+            and callable(member_)
+            and any(
+                word in str(member_.__annotations__.get("return", ""))
+                for word in ("SolverResult", "Assignment")
+            )
+        }
+        assert answering == TRACED_ENTRY_POINTS | {"model"}
+
+    def test_perfbench_traces_these_entry_points(self):
+        root = Path(__file__).resolve().parent.parent / "perfbench"
+        for workload in ("synth_cold.py", "verify_incremental.py"):
+            source = (root / workload).read_text()
+            loops = re.findall(r"for method in \(([^)]*)\)", source)
+            assert len(loops) == 1, workload
+            assert set(re.findall(r'"(\w+)"', loops[0])) == TRACED_ENTRY_POINTS
+
+    def test_model_goes_through_check(self):
+        solver = Solver(seed=1)
+        with mock.patch.object(Solver, "check", wraps=solver.check) as spy:
+            solver.model([mk_app("==", X, 4)])
+        assert spy.call_count == 1
