@@ -575,7 +575,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     # Canonical tiers always print (zero rows included) so a watch
     # run's invalidation pattern is inspectable at a glance; any other
     # kinds on disk follow.
-    tier_order = ("frontend", "prep", "slices", "model", "sim", "edge")
+    tier_order = ("frontend", "prep", "slices", "model", "sim", "guards", "edge")
     kinds = stats["kinds"]
     for kind in tier_order + tuple(sorted(set(kinds) - set(tier_order))):
         entry = kinds.get(kind, {"count": 0, "bytes": 0})
@@ -667,7 +667,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_size=args.queue_size,
         default_timeout_s=args.timeout,
         drain_timeout_s=args.drain_timeout,
-        compile_sims=not args.no_compile,
         peers=parse_peers(args.join) if args.join else (),
         cache_dir=args.cache_dir,
         warmup=not args.no_warmup,
@@ -686,7 +685,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     base = ServeConfig(
         default_timeout_s=args.timeout,
         drain_timeout_s=args.drain_timeout,
-        compile_sims=not args.no_compile,
     )
     workers = args.workers
     if workers <= 0:
@@ -801,15 +799,11 @@ def cmd_query(args: argparse.Namespace) -> int:
             spec = _query_spec(args.nfs[0])
             packets = packet_args(args.packet or []) or [{}]
             if spec is None:
-                response = client.simulate(
-                    nf=args.nfs[0], packets=packets,
-                    compile=False if args.no_compile else None,
-                )
+                response = client.simulate(nf=args.nfs[0], packets=packets)
             else:
                 response = client.simulate(
                     source=spec.source, name=spec.name, entry=spec.entry,
                     packets=packets,
-                    compile=False if args.no_compile else None,
                 )
         elif args.action == "verify":
             if not args.nfs:
@@ -1125,11 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max seconds SIGTERM drain waits for in-flight requests",
     )
     p.add_argument(
-        "--no-compile", action="store_true",
-        help="serve simulate requests with the interpreted simulator "
-        "instead of the model compiler",
-    )
-    p.add_argument(
         "--cluster", type=int, default=0, metavar="N",
         help="run N shard servers behind a consistent-hash router "
         "(--port is the router; shards get ephemeral ports)",
@@ -1192,10 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--packet", action="append", metavar="F=V[,F=V...]",
         help="simulate: one packet as field=value pairs (repeatable)",
-    )
-    p.add_argument(
-        "--no-compile", action="store_true",
-        help="simulate: ask the server for the interpreted simulator",
     )
     p.add_argument("--chain-a", help="compose: comma-separated chain A")
     p.add_argument("--chain-b", help="compose: comma-separated chain B")

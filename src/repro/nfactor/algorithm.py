@@ -723,8 +723,11 @@ def target_artifact_keys(
 
     The watch daemon uses this to know exactly which artifacts to push
     to serve shards before asking them to flip versions; the sim key
-    matches :func:`repro.serve.jobs._sim_bundle`'s derivation.
+    matches :func:`repro.serve.jobs._sim_bundle`'s derivation, and the
+    guards key is :func:`repro.model.compile.guard_key` of it.
     """
+    from repro.model.compile import guard_key
+
     config = config or NFactorConfig()
     frontend = artifact_cache.artifact_key(
         "frontend", artifact_cache.frontend_key_material(source, name, entry)
@@ -735,12 +738,14 @@ def target_artifact_keys(
     model = artifact_cache.artifact_key(
         "model", (frontend, _full_config_fingerprint(config))
     )
+    sim = artifact_cache.artifact_key("sim", (model,))
     return {
         "frontend": frontend,
         "prep": prep,
         "slices": artifact_cache.artifact_key("slices", prep),
         "model": model,
-        "sim": artifact_cache.artifact_key("sim", (model,)),
+        "sim": sim,
+        "guards": guard_key(sim),
     }
 
 

@@ -251,11 +251,8 @@ class ServeClient:
         name: Optional[str] = None,
         entry: Optional[str] = None,
         timeout_s: Optional[float] = None,
-        compile: Optional[bool] = None,
     ) -> ServeResponse:
         body: Dict[str, Any] = {"packets": packets or []}
-        if compile is not None:
-            body["compile"] = compile
         if nf is not None:
             body["nf"] = nf
         if source is not None:

@@ -18,7 +18,8 @@ module-level and picklable).  Each job:
 The synthesize hot path goes through the artifact cache's model tier
 (:func:`repro.nfactor.algorithm.synthesize_model_cached`); simulate
 adds its own ``sim`` artifact kind — ``(model, module_env, pkt_param)``
-— so a warm simulate skips the pipeline entirely.
+— so a warm simulate skips the pipeline entirely, and loads the model's
+compiled guard code from the ``guards`` kind instead of compiling it.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ def _sim_bundle(
 
     Key = the model-tier key, so source/config/schema-version changes
     invalidate both tiers together.  The key also identifies the
-    in-process compiled-model memo (compiled guards hold live function
-    objects, so they can never go to the pickle-based disk tier).
+    in-process compiled-model memo and derives the ``guards``-tier key
+    of the model's stored guard code.
     """
     from repro.nfactor.algorithm import (
         NFactor,
@@ -256,18 +257,18 @@ _COMPILED_MEMO = _LruMemo(_COMPILED_MEMO_MAX)
 
 
 def _compiled_for(key: Optional[str], model: Any, pkt_param: str) -> Any:
-    """The compiled form of ``model``, memoized per worker process."""
-    from repro.model.compile import compile_model
-    from repro.obs import metrics as obs_metrics
+    """The compiled form of ``model``, memoized per worker process.
+
+    A memo miss loads the model's guard code from the artifact store's
+    ``guards`` tier, so only the first miss anywhere compiles.
+    """
+    from repro.model.compile import compiled_model_cached
 
     if key is not None:
         hit = _COMPILED_MEMO.get(key)
         if hit is not None:
             return hit
-    compiled = compile_model(model, pkt_param=pkt_param)
-    obs_metrics.histogram("sim.compile_seconds").observe(
-        compiled.compile_seconds
-    )
+    compiled = compiled_model_cached(model, pkt_param, key)
     if key is not None:
         _COMPILED_MEMO.put(key, compiled)
     return compiled
@@ -275,7 +276,6 @@ def _compiled_for(key: Optional[str], model: Any, pkt_param: str) -> Any:
 
 def _op_simulate(body: Dict[str, Any]) -> Dict[str, Any]:
     from repro.interp.values import deep_copy
-    from repro.model.simulator import ModelSimulator
     from repro.net.packet import Packet
     from repro.obs import metrics as obs_metrics
 
@@ -293,16 +293,11 @@ def _op_simulate(body: Dict[str, Any]) -> Dict[str, Any]:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"packet #{i}: {exc}")
 
-    use_compiled = bool(body.get("compile", True))
     key, (model, module_env, pkt_param) = _sim_bundle(body)
-    if use_compiled:
-        compiled = _compiled_for(key, model, pkt_param)
-        sim = compiled.simulator(deep_copy(module_env))
-        sent_lists = sim.process_many(packets)
-        obs_metrics.counter("sim.compiled").inc()
-    else:
-        sim = ModelSimulator(model, deep_copy(module_env), pkt_param=pkt_param)
-        sent_lists = [sim.process(pkt) for pkt in packets]
+    compiled = _compiled_for(key, model, pkt_param)
+    sim = compiled.simulator(deep_copy(module_env))
+    sent_lists = sim.process_many(packets)
+    obs_metrics.counter("sim.compiled").inc()
     outputs = [
         {
             "forwarded": bool(sent),
@@ -320,7 +315,7 @@ def _op_simulate(body: Dict[str, Any]) -> Dict[str, Any]:
     )
     out = {
         "name": model.name,
-        "compiled": use_compiled,
+        "compiled": True,
         "outputs": outputs,
         "stats": {
             "packets": stats.packets,

@@ -46,10 +46,12 @@ log = obs_log.get_logger("repro.serve.peers")
 KIND_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 KEY_RE = re.compile(r"^[0-9a-f]{8,128}$")
 
-#: Artifact kinds replica warm-up pulls, hottest first: the model and
-#: sim tiers are the serving hot path; the upstream tiers make a
-#: source-edit resynthesis incremental on the new shard too.
-WARMUP_KINDS: Tuple[str, ...] = ("model", "sim", "slices", "prep", "frontend")
+#: Artifact kinds replica warm-up pulls, hottest first: the model, sim
+#: and guard-code tiers are the serving hot path; the upstream tiers
+#: make a source-edit resynthesis incremental on the new shard too.
+WARMUP_KINDS: Tuple[str, ...] = (
+    "model", "sim", "guards", "slices", "prep", "frontend",
+)
 
 #: Default cap on artifacts copied per warm-up.
 WARMUP_LIMIT = 512

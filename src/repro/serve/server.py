@@ -128,10 +128,6 @@ class ServeConfig:
     #: batches and stitch them into the flight recorder.  Off = request
     #: ids + metrics only (the overhead benchmark's baseline).
     tracing: bool = True
-    #: Serve simulate requests from the model compiler
-    #: (:mod:`repro.model.compile`); ``--no-compile`` forces the
-    #: interpreted ``ModelSimulator`` (the escape hatch).
-    compile_sims: bool = True
     #: Flight-recorder ring size (recent requests, span trees included).
     recorder_capacity: int = 128
     #: Slowest requests pinned beyond the ring.
@@ -172,6 +168,7 @@ class Server:
         self.registry.counter("sim.compiled_dispatches")
         self.registry.counter("sim.compiled")
         self.registry.histogram("sim.compile_seconds")
+        self.registry.counter("sim.guard_loads")
         # Graph-verification counters (repro.netverify): scrapable from
         # the first request, merged from worker snapshots by name.
         self.registry.counter("verify.edges")
@@ -665,9 +662,6 @@ class Server:
         # admitted with, so a concurrent reload never changes a request
         # mid-flight (in-flight jobs drain on the old version).
         body = self.models.resolve(op, body)
-        if op == "simulate" and not self.config.compile_sims:
-            body = dict(body)
-            body["compile"] = False
         ctx: Optional[obs_context.TraceContext] = None
         if self.config.tracing:
             # Continue the client's trace when it sent a (valid)

@@ -937,8 +937,10 @@ class Solver:
                 assignment[key] = draw_member() if pinned is None else pinned
             return assignment
 
+        hint = [0]  # see _accepts
+
         def ok(assignment: Assignment) -> bool:
-            return all(_eval_bool(c, assignment) for c in constraints) and (
+            return _accepts(constraints, assignment, hint) and (
                 _groups_consistent(groups, assignment)
             )
 
@@ -981,6 +983,25 @@ class Solver:
             if ok(candidate):
                 return candidate
         return None
+
+
+def _accepts(constraints: List[Any], assignment: Assignment, hint: List[int]) -> bool:
+    """Whether every conjunct holds under ``assignment``.
+
+    ``hint[0]`` is the index of the conjunct that rejected the previous
+    candidate of the same search.  It is evaluated first, because it is
+    the likeliest to reject this candidate too, and each rejection
+    moves it.  :func:`_eval_bool` is pure, so the order changes what a
+    check costs, never what it answers.
+    """
+    first = hint[0]
+    if constraints and not _eval_bool(constraints[first], assignment):
+        return False
+    for i, c in enumerate(constraints):
+        if i != first and not _eval_bool(c, assignment):
+            hint[0] = i
+            return False
+    return True
 
 
 def _eval_bool(c: Any, assignment: Assignment) -> bool:

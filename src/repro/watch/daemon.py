@@ -26,9 +26,9 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.watch.watcher import SourceChange, SourceWatcher, WatchTarget
 
-#: Cache tiers reported per rebuild (and pushed to shards, minus the
-#: in-process-only compiled memo which never leaves a worker).
-TIER_KINDS = ("frontend", "prep", "slices", "model", "sim")
+#: Cache tiers reported per rebuild and pushed to shards (the worker's
+#: compiled-model memo itself never leaves a worker; its guard code does).
+TIER_KINDS = ("frontend", "prep", "slices", "model", "sim", "guards")
 
 log = obs_log.get_logger("repro.watch")
 
@@ -143,13 +143,17 @@ class WatchDaemon:
         keys = target_artifact_keys(source, target.name, target.entry)
         if ms.result is not None:
             # A fresh synthesis: also materialize the sim-tier bundle
-            # locally so shards receive it in the push and their first
-            # simulate of the new version is a pure hit.
+            # and the model's guard code locally so shards receive both
+            # in the push and their first simulate of the new version
+            # neither synthesizes nor compiles.
+            from repro.model.compile import compiled_model_cached
+
+            result = ms.result
             store.put_object(
-                "sim",
-                keys["sim"],
-                (ms.result.model, ms.result.module_env, ms.result.pkt_param),
+                "sim", keys["sim"],
+                (result.model, result.module_env, result.pkt_param),
             )
+            compiled_model_cached(result.model, result.pkt_param, keys["sim"])
         elapsed_s = time.perf_counter() - t0
         tiers = self._tier_delta(before, dict(store.counters))
         diff = None

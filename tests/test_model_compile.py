@@ -13,21 +13,29 @@ raw-error propagation) and the dispatch/index construction details.
 from __future__ import annotations
 
 import copy
+import importlib.util
+import logging
+import pickle
 
 import pytest
 
 from tests.conftest import synthesize_cached
+from repro import cache as artifact_cache
 from repro.model.compile import (
+    GUARDS_KIND,
     CompiledSimulator,
     _best_field,
     _entry_pins,
     compile_model,
+    guard_key,
 )
 from repro.model.matchaction import NFModel, TableEntry
 from repro.model.simulator import ModelSimulator
 from repro.net.generator import TrafficGenerator, WorkloadSpec
 from repro.net.packet import Packet
 from repro.nfs import get_nf, nf_names
+from repro.obs import metrics as obs_metrics
+from repro.serve import jobs as serve_jobs
 from repro.symbolic.expr import SApp, SDictVal, SVar, mk_app
 
 N_FUZZ_PACKETS = 10_000
@@ -116,17 +124,37 @@ class TestCorpusDifferentialFuzz:
         comp = _RecordingCompiled(
             compiled_model, copy.deepcopy(result.module_env)
         )
+        # The same model rebuilt from its stored guard code, as a serve
+        # worker loads it from the artifact store.
+        stored = pickle.loads(pickle.dumps(compiled_model.code))
+        loaded_model = compile_model(
+            result.model, pkt_param=result.pkt_param, code=stored
+        )
+        loaded = _RecordingCompiled(
+            loaded_model, copy.deepcopy(result.module_env)
+        )
 
         for i, pkt in enumerate(packets):
             sent_i = interp.process(pkt.copy())
             sent_c = comp.process(pkt.copy())
-            assert sent_i == sent_c, (
+            sent_l = loaded.process(pkt.copy())
+            assert sent_i == sent_c == sent_l, (
                 f"{name}: sent packets diverge at packet #{i}: "
-                f"{sent_i} vs {sent_c}"
+                f"{sent_i} vs {sent_c} vs {sent_l}"
             )
-        assert interp.seq == comp.seq, f"{name}: matched-entry sequences diverge"
-        assert _outcome_stats(interp.stats) == _outcome_stats(comp.stats)
-        assert interp.state == comp.state, f"{name}: end states diverge"
+        assert interp.seq == comp.seq == loaded.seq, (
+            f"{name}: matched-entry sequences diverge"
+        )
+        assert (
+            _outcome_stats(interp.stats)
+            == _outcome_stats(comp.stats)
+            == _outcome_stats(loaded.stats)
+        )
+        assert interp.state == comp.state == loaded.state, (
+            f"{name}: end states diverge"
+        )
+        # Loaded code is the compiled code: every SimStats count agrees.
+        assert loaded.stats == comp.stats
         # The dispatch walk happened for every packet.
         assert comp.stats.compiled_dispatches == len(packets)
 
@@ -398,18 +426,129 @@ class TestServeSimulate:
                 {},
             ],
         }
-        fast = _op_simulate(dict(body))
-        slow = _op_simulate(dict(body, compile=False))
-        assert fast["compiled"] is True
-        assert slow["compiled"] is False
-        assert fast["outputs"] == slow["outputs"]
+        got = _op_simulate(dict(body))
+        result = synthesize_cached("firewall")
+        ref = ModelSimulator(
+            result.model,
+            copy.deepcopy(result.module_env),
+            pkt_param=result.pkt_param,
+        )
+        want = [ref.process(Packet.from_dict(p)) for p in body["packets"]]
+        assert got["compiled"] is True
+        assert got["outputs"] == [
+            {
+                "forwarded": bool(sent),
+                "sent": [
+                    {"packet": out.to_dict(), "port": port} for out, port in sent
+                ],
+            }
+            for sent in want
+        ]
         for key in ("packets", "forwarded", "dropped_default", "dropped_entry"):
-            assert fast["stats"][key] == slow["stats"][key]
-        assert fast["stats"]["compiled_dispatches"] == 3
-        assert slow["stats"]["compiled_dispatches"] == 0
+            assert got["stats"][key] == getattr(ref.stats, key)
+        assert got["stats"]["compiled_dispatches"] == 3
 
-    def test_serve_config_escape_hatch_default(self):
-        from repro.serve.server import ServeConfig
 
-        assert ServeConfig().compile_sims is True
-        assert ServeConfig(compile_sims=False).compile_sims is False
+_SIM_BODY = {
+    "nf": "snortlite",
+    "packets": [
+        {"proto": 6, "dport": 80, "tcp_flags": 2},
+        {"proto": 17, "dport": 53},
+        {"proto": 6, "sport": 1234, "dport": 22},
+        {},
+    ],
+}
+
+
+@pytest.fixture
+def serve_worker(tmp_path):
+    """A serve worker's view: an enabled artifact store, an empty
+    compiled-model memo and a fresh metrics registry."""
+    registry = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.install(registry)
+    serve_jobs._COMPILED_MEMO.clear()
+    try:
+        with artifact_cache.override(directory=str(tmp_path / "cas"), enabled=True):
+            yield registry
+    finally:
+        serve_jobs._COMPILED_MEMO.clear()
+        obs_metrics.uninstall(previous)
+
+
+def _compiles(registry):
+    return registry.histogram("sim.compile_seconds").as_dict()["count"]
+
+
+def _simulate_as_new_worker():
+    """One simulate request in a worker whose memo is empty."""
+    serve_jobs._COMPILED_MEMO.clear()
+    return serve_jobs._op_simulate(dict(_SIM_BODY))
+
+
+class TestGuardCodeTier:
+    """Guard code is compiled once per model and loaded everywhere else."""
+
+    def test_second_worker_loads_instead_of_compiling(self, serve_worker):
+        first = _simulate_as_new_worker()
+        second = _simulate_as_new_worker()
+        assert first == second
+        assert _compiles(serve_worker) == 1
+        assert serve_worker.counter("sim.guard_loads").value == 1
+
+    def test_memo_hit_neither_compiles_nor_loads(self, serve_worker):
+        _simulate_as_new_worker()
+        serve_jobs._op_simulate(dict(_SIM_BODY))
+        assert _compiles(serve_worker) == 1
+        assert serve_worker.counter("sim.guard_loads").value == 0
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["marshal", "consts-size", "consts-type", "pair-shape", "wrong-code"],
+    )
+    def test_bad_stored_code_is_a_logged_miss(self, serve_worker, caplog, damage):
+        good = _simulate_as_new_worker()
+        key, (model, _env, pkt_param) = serve_jobs._sim_bundle(_SIM_BODY)
+        store = artifact_cache.get_store()
+        blob, consts = store.get_object(GUARDS_KIND, guard_key(key))
+        other = compile_model(synthesize_cached("nat").model).code
+        bad = {
+            "marshal": (blob[: len(blob) // 2], consts),
+            "consts-size": (blob, consts + (0,)),
+            "consts-type": (blob, list(consts)),
+            "pair-shape": (blob, consts, None),
+            "wrong-code": other,
+        }[damage]
+        store.put_object(GUARDS_KIND, guard_key(key), bad)
+        with caplog.at_level(logging.WARNING, logger="repro.model.compile"):
+            again = _simulate_as_new_worker()
+        assert again == good
+        assert _compiles(serve_worker) == 2
+        assert serve_worker.counter("sim.guard_loads").value == 0
+        assert [
+            r for r in caplog.records if "recompiling" in r.getMessage()
+        ], caplog.text
+        # The recompile overwrote the bad pair: the next worker loads.
+        assert _simulate_as_new_worker() == good
+        assert _compiles(serve_worker) == 2
+        assert serve_worker.counter("sim.guard_loads").value == 1
+
+    def test_other_python_version_never_loads(self, serve_worker, monkeypatch):
+        good = _simulate_as_new_worker()
+        key, _bundle = serve_jobs._sim_bundle(_SIM_BODY)
+        stored_key = guard_key(key)
+        monkeypatch.setattr(importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n")
+        assert guard_key(key) != stored_key
+        misses = artifact_cache.get_store().counters.get("kind.guards.misses", 0)
+        assert _simulate_as_new_worker() == good
+        assert _compiles(serve_worker) == 2
+        assert serve_worker.counter("sim.guard_loads").value == 0
+        assert (
+            artifact_cache.get_store().counters["kind.guards.misses"] == misses + 1
+        )
+
+    def test_cache_off_compiles_every_miss(self, serve_worker):
+        with artifact_cache.override(enabled=False):
+            first = _simulate_as_new_worker()
+            assert _simulate_as_new_worker() == first
+        assert _compiles(serve_worker) == 2
+        assert serve_worker.counter("sim.guard_loads").value == 0

@@ -32,6 +32,7 @@ from repro.netverify.verify import (
     edge_key,
     space_fingerprint,
 )
+from repro.symbolic import solver as solver_mod
 from repro.symbolic.solver import Solver
 
 from tests.conftest import synthesize_cached
@@ -380,6 +381,49 @@ class TestPushSpaceAbsorbsOnce:
     def test_unknowns_stay_out_of_verdict_bytes(self, cold_graph_run):
         _tasks, verdict = cold_graph_run
         assert "solver_unknowns" not in verdict.to_json()
+
+
+class TestLastFailedConjunctFirst:
+    """``Solver._search`` tries first the conjunct that rejected the last
+    candidate; the plain in-order ``all(...)`` scan is kept here as the
+    reference it must agree with."""
+
+    @staticmethod
+    def _answers(tasks, accepts):
+        calls = [0]
+        real_eval = solver_mod._eval_bool
+
+        def counting(c, assignment):
+            calls[0] += 1
+            return real_eval(c, assignment)
+
+        answers = []
+        with mock.patch.object(solver_mod, "_accepts", accepts), \
+                mock.patch.object(solver_mod, "_eval_bool", counting):
+            for model, ns, space in tasks:
+                solver = Solver(cache=False)
+                check_assuming = solver.check_assuming
+
+                def recording(ctx, extras):
+                    result = check_assuming(ctx, extras)
+                    answers.append((result.status, result.assignment))
+                    return result
+
+                solver.check_assuming = recording
+                push_space(model, space, ns, solver)
+        return answers, calls[0]
+
+    def test_same_statuses_and_witnesses_as_plain_scan(self, cold_graph_run):
+        tasks, _verdict = cold_graph_run
+
+        def plain(constraints, assignment, hint):
+            return all(solver_mod._eval_bool(c, assignment) for c in constraints)
+
+        got, got_calls = self._answers(tasks, solver_mod._accepts)
+        want, want_calls = self._answers(tasks, plain)
+        assert got == want
+        assert any(status == "sat" for status, _ in got)
+        assert got_calls < want_calls
 
 
 class TestServeOp:

@@ -447,3 +447,42 @@ class TestHotSwap:
         ).raise_for_status().result
         assert out["model_version"] == 2
         assert out["outputs"][0]["forwarded"]
+
+    def test_pushed_shard_simulates_new_version_without_compiling(
+        self, serve_handle, tmp_path
+    ):
+        """The push carries the rebuilt model's guard code, so the
+        shard's first simulate of the new version loads it."""
+        from repro.serve.client import ServeClient
+
+        path = tmp_path / "guardnf.py"
+        path.write_text(V1)
+        with artifact_cache.override(
+            directory=str(tmp_path / "daemon-cache"), enabled=True
+        ):
+            daemon = WatchDaemon(
+                [parse_target(str(path))],
+                WatchOptions(serve=(("127.0.0.1", serve_handle.port),)),
+            )
+            daemon.baseline()
+            path.write_text(V2)
+            (rebuild,) = daemon.poll_once()
+        assert rebuild["tiers"]["guards"] == {"hits": 0, "misses": 1}
+        assert rebuild["serve"][0]["pushed"] == 6  # every tier, guards too
+        client = ServeClient("127.0.0.1", serve_handle.port)
+        before = client.metrics()
+        out = client.simulate(
+            nf="guardnf", packets=[{"dport": 23}]
+        ).raise_for_status().result
+        after = client.metrics()
+        assert out["model_version"] == 2
+        assert out["outputs"][0]["forwarded"]
+
+        def delta(kind, name, field=None):
+            def read(snap):
+                value = snap[kind].get(name, 0)
+                return value.get(field, 0) if field else value
+            return read(after) - read(before)
+
+        assert delta("histograms", "sim.compile_seconds", "count") == 0
+        assert delta("counters", "sim.guard_loads") == 1
