@@ -1,14 +1,13 @@
-"""E8 — engine cold-path performance: subsumption, interning, frontier.
+"""E8 — engine cold-path performance: witness shortcut, frontier.
 
 Measures the engine's cold-path stack end-to-end on the corpus with
 every cache pinned off (persistent artifact store disabled, solver
 constraint cache off): what's left is the raw exploration cost the
-PR-4 layers attack.
+cold-path layers attack.
 
-- **baseline**  — all three layers off: every duplicate state is
-  re-explored and every branch arm is a fresh solver check;
-- **optimized** — interning + witness shortcut + subsumption on
-  (the default configuration);
+- **baseline**  — the witness shortcut off: every branch arm is a
+  fresh solver check;
+- **optimized** — the witness shortcut on (the default configuration);
 - **frontier**  — optimized, plus ``strategy="frontier"`` with
   ``parallel_paths=4``: the initial branch frontier is partitioned
   across worker processes.
@@ -53,7 +52,7 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_perf_engine.json"
 #: The largest corpus NF — the frontier wall-clock comparison target.
 LARGEST = "snortlite"
 
-BASELINE = dict(intern_exprs=False, witness_shortcut=False, subsumption=False)
+BASELINE = dict(witness_shortcut=False)
 FRONTIER = dict(strategy="frontier", parallel_paths=4)
 
 
@@ -73,10 +72,7 @@ def run_one(name: str, **engine_kwargs) -> Dict[str, object]:
         "wall_s": round(wall_s, 4),
         "solver_checks": stats.solver_checks,
         "states_explored": stats.states_explored,
-        "pruned_subsumed": stats.pruned_subsumed,
         "witness_hits": stats.witness_hits,
-        "intern_hits": stats.intern_hits,
-        "intern_misses": stats.intern_misses,
     }
 
 
@@ -110,10 +106,7 @@ def _measure(names: List[str]) -> Dict[str, object]:
                 "baseline_states": base["states_explored"],
                 "optimized_states": opt["states_explored"],
                 "state_reduction": round(state_cut, 4),
-                "pruned_subsumed": opt["pruned_subsumed"],
                 "witness_hits": opt["witness_hits"],
-                "intern_hits": opt["intern_hits"],
-                "intern_misses": opt["intern_misses"],
                 "identical_model": base["model"] == opt["model"],
             }
         )
@@ -151,14 +144,14 @@ def report(row: Dict[str, object]) -> None:
     print_table(
         "Engine cold path (baseline vs optimized, caches off)",
         ["NF", "base", "opt", "checks", "-> checks", "cut",
-         "states", "-> states", "cut", "grafts", "identical"],
+         "states", "-> states", "cut", "witness hits", "identical"],
         [[
             r["nf"], f"{r['baseline_wall_s']}s", f"{r['optimized_wall_s']}s",
             r["baseline_checks"], r["optimized_checks"],
             f"{r['check_reduction']:.0%}",
             r["baseline_states"], r["optimized_states"],
             f"{r['state_reduction']:.0%}",
-            r["pruned_subsumed"], r["identical_model"],
+            r["witness_hits"], r["identical_model"],
         ] for r in row["per_nf"]],
     )
     if "frontier_wall_s" in row:

@@ -4,7 +4,7 @@ Measures the PR-2 perf work end-to-end on the corpus, three ways:
 
 - **baseline** — ``EngineConfig(solver_cache=False)``: every check is a
   fresh propagate-and-sample solve (the seed behaviour, minus this PR's
-  interning/sampling wins which have no off switch);
+  canon-memo/sampling wins which have no off switch);
 - **cold**    — caching on, process-global constraint cache cleared
   first: in-run duplicate checks hit, everything else misses;
 - **warm**    — caching on, cache still warm from the cold run: the

@@ -37,7 +37,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
@@ -321,8 +321,19 @@ class ArtifactStore:
 
     # -- public API ---------------------------------------------------------
 
-    def get_object(self, kind: str, key: str) -> Optional[Any]:
-        """The cached artifact for ``key``, or None (any failure = miss)."""
+    def get_object(
+        self,
+        kind: str,
+        key: str,
+        decode: Optional[Callable[[Any], Any]] = None,
+    ) -> Optional[Any]:
+        """The cached artifact for ``key``, or None (any failure = miss).
+
+        ``decode``, when given, turns the unpickled object into the
+        returned one; an exception it raises counts as a failed load,
+        so ``kind.<kind>.hits`` only counts artifacts the caller can
+        use.
+        """
         if not self.enabled:
             return None
         data = self._mem_get(key)
@@ -342,6 +353,8 @@ class ArtifactStore:
             self._mem_put(key, data)
         try:
             obj = pickle.loads(data)
+            if decode is not None:
+                obj = decode(obj)
         except Exception as exc:
             _warn(
                 "cache.load_failed",

@@ -5,9 +5,9 @@ AST node-by-node via ``eval_symbolic`` on every packet.  This module
 lowers the model **once**, at build time, into a form where the
 per-packet work is a handful of compiled-function calls:
 
-1. **Decision-tree dispatch** — the single-field exact-match index of
-   the simulator generalizes to a nested tree: each inner node tests
-   one packet field and branches on its concrete value; entries that
+1. **Decision-tree dispatch** — an exact-match index as a nested
+   tree: each inner node tests one packet field and branches on its
+   concrete value; entries that
    pin that field to a different value can never match and are absent
    from the branch.  Pins come from ``pkt.f == const`` conjuncts
    (directly, inside positive ``and`` chains, or implied by a closed
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
-import logging
 import marshal
 import time
 import types
@@ -61,19 +60,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import cache as artifact_cache
 from repro.interp.interpreter import Env, Interpreter, NFRuntimeError
 from repro.model.matchaction import CONFIG_NS, NFModel, STATE_NS, TableEntry
-from repro.model.simulator import (
-    GuardEvalError,
-    SimStats,
-    _lookup,
-    _merge_by_position,
-)
+from repro.model.simulator import GuardEvalError, SimStats, _lookup
 from repro.net.packet import PACKET_FIELDS, Packet
-from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.symbolic.expr import SApp, SDictVal, SVar, _hashable
 from repro.util.hashing import stable_hash
-
-log = obs_log.get_logger("repro.model.compile")
 
 #: Artifact kind holding a model's ``(marshal.dumps(code), consts)`` pair.
 GUARDS_KIND = "guards"
@@ -275,8 +266,7 @@ _FLIP = {"==": "==", "<=": ">=", ">=": "<=", "<": ">", ">": "<"}
 def _entry_pins(entry: TableEntry) -> Dict[str, int]:
     """Packet fields the flow match pins to one concrete value.
 
-    Generalizes :func:`~repro.model.simulator._concrete_eq_fields`:
-    besides top-level ``pkt.f == const`` conjuncts it descends into
+    Besides top-level ``pkt.f == const`` conjuncts it descends into
     positive ``and`` chains (every arm must hold for the guard to
     hold) and closes ``lo <= pkt.f`` ∧ ``pkt.f <= lo`` intervals into
     equalities.  Sound for *skipping*: a pin that is false for a
@@ -352,6 +342,22 @@ class _Node:
 
 
 _Item = Tuple[int, CompiledEntry, Dict[str, int]]
+
+
+def _merge_by_position(bucket: List[_Item], residual: List[_Item]) -> List[_Item]:
+    """Merge two position-sorted item lists, preserving priority order."""
+    merged: List[_Item] = []
+    i = j = 0
+    while i < len(bucket) and j < len(residual):
+        if bucket[i][0] < residual[j][0]:
+            merged.append(bucket[i])
+            i += 1
+        else:
+            merged.append(residual[j])
+            j += 1
+    merged.extend(bucket[i:])
+    merged.extend(residual[j:])
+    return merged
 
 
 def _best_field(coverage: Dict[str, int]) -> Optional[str]:
@@ -561,25 +567,21 @@ def compiled_model_cached(
     Loads the guard code stored under :func:`guard_key` when the
     artifact store has it (``sim.guard_loads``); otherwise compiles
     (``sim.compile_seconds`` observes only these) and stores the code.
-    A stored pair that fails to load is a logged miss and a recompile.
+    A stored pair that fails to load is a logged store miss
+    (``kind.guards.misses``, not a hit) and a recompile.
     With no ``sim_key`` (artifact cache off) it simply compiles.
     """
     store = artifact_cache.get_store()
     key = guard_key(sim_key) if sim_key is not None else None
-    pair = store.get_object(GUARDS_KIND, key) if key is not None else None
-    if pair is not None:
-        try:
-            compiled = compile_model(model, pkt_param=pkt_param, code=pair)
-        except Exception as exc:
-            obs_log.log_event(
-                log, logging.WARNING, "model.guards.load_failed",
-                f"stored guard code {key} failed to load ({exc!r}); "
-                "recompiling",
-                key=key, error=repr(exc),
-            )
-        else:
+    if key is not None:
+        loaded = store.get_object(
+            GUARDS_KIND,
+            key,
+            decode=lambda pair: compile_model(model, pkt_param=pkt_param, code=pair),
+        )
+        if loaded is not None:
             obs_metrics.counter("sim.guard_loads").inc()
-            return compiled
+            return loaded
     compiled = compile_model(model, pkt_param=pkt_param)
     obs_metrics.histogram("sim.compile_seconds").observe(
         compiled.compile_seconds

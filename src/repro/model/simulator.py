@@ -107,126 +107,34 @@ class SimStats:
     forwarded: int = 0
     dropped_default: int = 0
     dropped_entry: int = 0
-    #: Full-guard evaluations — the work the exact-match index avoids.
+    #: Full-guard evaluations.
     guard_evals: int = 0
     #: Dispatch-tree walks by the compiled simulator (always 0 here).
     compiled_dispatches: int = 0
     matched_entries: Dict[int, int] = field(default_factory=dict)
 
 
-def _merge_by_position(
-    bucket: List[Tuple[int, Any]], residual: List[Tuple[int, Any]]
-) -> List[Tuple[int, Any]]:
-    """Merge two position-sorted ``(pos, item)`` lists, preserving order."""
-    merged: List[Tuple[int, Any]] = []
-    i = j = 0
-    while i < len(bucket) and j < len(residual):
-        if bucket[i][0] < residual[j][0]:
-            merged.append(bucket[i])
-            i += 1
-        else:
-            merged.append(residual[j])
-            j += 1
-    merged.extend(bucket[i:])
-    merged.extend(residual[j:])
-    return merged
-
-
-def _concrete_eq_fields(entry: TableEntry) -> Dict[str, int]:
-    """Packet fields pinned to an int literal by the entry's flow match
-    (a top-level ``pkt.f == const`` conjunct, either side)."""
-
-    def packet_field(value: Any) -> Optional[str]:
-        if isinstance(value, SVar) and value.name.startswith("pkt") and "." in value.name:
-            return value.name.split(".", 1)[1]
-        return None
-
-    pinned: Dict[str, int] = {}
-    for c in entry.match_flow:
-        if not (isinstance(c, SApp) and c.op == "==" and len(c.args) == 2):
-            continue
-        lhs, rhs = c.args
-        for var, const in ((lhs, rhs), (rhs, lhs)):
-            fieldname = packet_field(var)
-            if fieldname is not None and type(const) is int:
-                pinned.setdefault(fieldname, const)
-    return pinned
-
-
 class ModelSimulator:
     """Executes a synthesized model over concrete packets.
 
-    Matching uses an **exact-match index** instead of a per-packet
-    linear scan over every entry: at construction time the simulator
-    picks the packet field that most entries pin to a concrete value
-    (``pkt.f == const`` conjuncts) and buckets those entries by value.
-    A lookup then evaluates only the bucket for the packet's value plus the
-    non-indexable *residual* entries, merged back into priority
-    (insertion) order — so the first matching entry is byte-identical
-    to the scan's, just found after fewer guard evaluations.  Entries
-    skipped by the index carry a pinning conjunct that is false for the
-    packet, so their guards could never have held.  ``use_index=False``
-    forces the plain scan (the equivalence reference for tests).
+    The interpreter reference: each packet scans the entries in
+    priority (insertion) order and walks each guard tree with
+    :func:`eval_symbolic` until one holds.  The compiled simulator
+    (:mod:`repro.model.compile`) must reproduce its outcomes exactly.
     """
 
     def __init__(
-        self,
-        model: NFModel,
-        init_state: Dict[str, Any],
-        pkt_param: str = "pkt",
-        use_index: bool = True,
+        self, model: NFModel, init_state: Dict[str, Any], pkt_param: str = "pkt"
     ) -> None:
         self.model = model
         self.state = init_state
         self.pkt_param = pkt_param
         self.stats = SimStats()
         self._entries = model.all_entries()
-        self.index_field: Optional[str] = None
-        self._index: Dict[int, List[Tuple[int, TableEntry]]] = {}
-        self._residual: List[Tuple[int, TableEntry]] = []
-        self._merged: Dict[int, List[TableEntry]] = {}
-        self._residual_entries: List[TableEntry] = []
-        if use_index:
-            self._build_index()
-
-    def _build_index(self) -> None:
-        pinned = [_concrete_eq_fields(entry) for entry in self._entries]
-        coverage: Dict[str, int] = {}
-        for fields in pinned:
-            for name in fields:
-                coverage[name] = coverage.get(name, 0) + 1
-        if not coverage:
-            return
-        max_cov = max(coverage.values())
-        if max_cov < 2:
-            return  # an index over one entry saves nothing
-        # Best-covered field wins; explicit min-name tie-break keeps the
-        # choice deterministic across runs.
-        best = min(name for name, n in coverage.items() if n == max_cov)
-        self.index_field = best
-        for pos, (entry, fields) in enumerate(zip(self._entries, pinned)):
-            if best in fields:
-                self._index.setdefault(fields[best], []).append((pos, entry))
-            else:
-                self._residual.append((pos, entry))
-        # Pre-merge each bucket with the residual once, so the per-packet
-        # lookup is a single dict get instead of a list merge.
-        self._residual_entries = [entry for _pos, entry in self._residual]
-        for value, bucket in self._index.items():
-            self._merged[value] = [
-                entry
-                for _pos, entry in _merge_by_position(bucket, self._residual)
-            ]
-
-    def _candidates(self, pkt: Packet) -> List[TableEntry]:
-        if self.index_field is None:
-            return self._entries
-        merged = self._merged.get(getattr(pkt, self.index_field))
-        return merged if merged is not None else self._residual_entries
 
     def match_entry(self, pkt: Packet) -> Optional[TableEntry]:
         """The first entry whose guard holds for ``pkt`` and current state."""
-        for entry in self._candidates(pkt):
+        for entry in self._entries:
             if self._guard_holds(entry, pkt):
                 return entry
         return None

@@ -72,8 +72,6 @@ class NFactorConfig:
     #: Fig. 6 / Table 2).  Off by default: a deployed NF runs exactly
     #: one configuration, its module-level constants.
     parametric: bool = False
-    #: Also explore the *unsliced* program (for the Table-2 comparison).
-    keep_module_concrete: bool = True
     #: Memoize pipeline phases through the persistent artifact store
     #: (:mod:`repro.cache`).  Purely a when-work-happens knob: cached
     #: and uncached runs produce byte-identical models.  Also gated by
@@ -113,10 +111,9 @@ class SynthesisStats:
     # Engine cold-path counters (docs/internals.md §9); frontier runs
     # fold the worker processes' counts in.
     states_explored: int = 0
+    #: Always 0: no state is grafted; perfbench's synth-cold still reads it.
     pruned_subsumed: int = 0
     witness_hits: int = 0
-    intern_hits: int = 0
-    intern_misses: int = 0
     phase_timings: Dict[str, float] = field(default_factory=dict)
     metrics: Dict[str, Any] = field(default_factory=dict)
 
@@ -206,7 +203,6 @@ def _prep_config_fingerprint(config: NFactorConfig) -> Tuple:
     """Fingerprint of the config fields the pipeline front half reads."""
     return (
         ("parametric", config.parametric),
-        ("keep_module_concrete", config.keep_module_concrete),
     )
 
 
@@ -217,9 +213,7 @@ def _prep_config_fingerprint(config: NFactorConfig) -> Tuple:
 _PERF_ONLY_ENGINE_FIELDS = frozenset(
     {
         "solver_cache",
-        "intern_exprs",
         "witness_shortcut",
-        "subsumption",
         "parallel_paths",
     }
 )
@@ -554,10 +548,7 @@ class NFactor:
             stats.solver_unknowns = engine.stats.solver_unknowns
             stats.paths_truncated = engine.stats.paths_truncated
             stats.states_explored = engine.stats.states_explored
-            stats.pruned_subsumed = engine.stats.pruned_subsumed
             stats.witness_hits = engine.stats.witness_hits
-            stats.intern_hits = engine.stats.intern_hits
-            stats.intern_misses = engine.stats.intern_misses
 
             stmts = flat.stmts()
             with obs_trace.phase("refactor", timings):

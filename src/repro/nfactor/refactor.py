@@ -12,7 +12,7 @@ right control dependences, and this pass enforces executability).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.ir import (
     Block,
@@ -32,6 +32,7 @@ from repro.model.matchaction import NFModel, TableEntry, split_constraints
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pdg.pdg import PDG
+from repro.symbolic.expr import SApp, canon
 from repro.symbolic.state import PathResult
 
 _JUMPS = (SReturn, SBreak, SContinue)
@@ -130,6 +131,24 @@ def build_model(
     return model
 
 
+def _share(value: Any, shared: Dict[str, SApp]) -> Any:
+    """``value`` with every subtree canonically equal to one seen before
+    replaced by that one.  Paths evaluate the same branch conditions
+    separately, so without this a model's guards hold many equal copies
+    of each subtree, and the stored model pickles every copy."""
+    if not isinstance(value, SApp):
+        return value
+    key = canon(value)
+    node = shared.get(key)
+    if node is None:
+        args = tuple(_share(a, shared) for a in value.args)
+        node = value
+        if any(a is not b for a, b in zip(args, value.args)):
+            node = SApp(value.op, args)
+        shared[key] = node
+    return node
+
+
 def _build_model(
     name: str,
     paths: Sequence[PathResult],
@@ -143,11 +162,14 @@ def _build_model(
     model.ois_vars = set(ois_vars or set())
     union = pkt_slice | state_slice
     entry_id = 0
+    shared: Dict[str, SApp] = {}
     for path in paths:
         if path.status != "done":
             continue
         entry_id += 1
-        config, flow, state = split_constraints(path.constraints)
+        config, flow, state = split_constraints(
+            [_share(c, shared) for c in path.constraints]
+        )
         action: List[Stmt] = []
         pkt_action: List[Stmt] = []
         state_action: List[Stmt] = []

@@ -18,7 +18,7 @@ flow" entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cfg.builder import build_cfg
@@ -60,7 +60,6 @@ from repro.net.packet import Packet
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.symbolic.expr import (
-    InternTable,
     SApp,
     SDictVal,
     SVar,
@@ -69,7 +68,6 @@ from repro.symbolic.expr import (
     SymPacket,
     canon,
     eval_sym,
-    interning,
     is_concrete,
     mk_app,
     sym_vars,
@@ -80,7 +78,7 @@ from repro.symbolic.solver import (
     SolverContext,
     consistent_witness,
 )
-from repro.symbolic.state import PathResult, SymState, state_signature, sym_copy
+from repro.symbolic.state import PathResult, SymState
 from repro.symbolic.strategies import VALID_STRATEGIES, Strategy, make_strategy
 from repro.util.timer import Stopwatch
 
@@ -121,12 +119,10 @@ class EngineConfig:
     #: :data:`repro.symbolic.strategies.VALID_STRATEGIES`.
     strategy: str = "dfs"
     strategy_seed: int = 0
-    #: Cold-path performance toggles (docs/internals.md §9).  All three
-    #: are behaviour-preserving: synthesized models are byte-identical
-    #: with them on or off, so none participates in cache fingerprints.
-    intern_exprs: bool = True
+    #: Cold-path performance toggle (docs/internals.md §9).  It is
+    #: behaviour-preserving: synthesized models are byte-identical with
+    #: it on or off, so it does not participate in cache fingerprints.
     witness_shortcut: bool = True
-    subsumption: bool = True
     #: Worker processes for the "frontier" strategy; 1 = in-process
     #: (degenerates to dfs).  Ignored by the other strategies.
     parallel_paths: int = 1
@@ -159,73 +155,16 @@ class ExploreStats:
     solver_unknowns: int = 0
     elapsed_s: float = 0.0
     exhausted: bool = False
-    #: States actually executed to completion (finishing done, pruned
-    #: or error) — the work subsumption saves shows up here.
+    #: States executed to completion (finishing done, pruned or error).
     states_explored: int = 0
-    #: States grafted from a recorded twin instead of being re-executed.
-    pruned_subsumed: int = 0
     #: Branch arms decided by witness propagation (no solver call).
     witness_hits: int = 0
-    #: Hash-consing table statistics (0 when interning is off).
-    intern_size: int = 0
-    intern_hits: int = 0
-    intern_misses: int = 0
 
     @property
     def states_total(self) -> int:
-        """Conservation check: every state is explored, subsumed or
-        truncated — pruning can never silently drop one."""
-        return self.states_explored + self.pruned_subsumed + self.paths_truncated
-
-
-@dataclass
-class _Leaf:
-    """One finished path of a recorded subtree, delta-sliced at the
-    frame root so it can be replayed under a different prefix."""
-
-    status: str
-    note: str
-    c_delta: Tuple[Any, ...]
-    e_delta: Tuple[int, ...]
-    b_delta: Tuple[Tuple[int, bool], ...]
-    sent_delta: Tuple[Tuple[Dict[str, Any], Optional[Any]], ...]
-    w_delta: Tuple[Tuple[int, str], ...]
-    env: Dict[str, Any]
-    steps_delta: int
-
-
-@dataclass
-class _Frame:
-    """A recording of the whole DFS subtree under one popped state.
-
-    Opened the first time a state signature is seen; closed (and
-    registered for grafting) once the DFS stack height drops back to
-    ``depth``, meaning every descendant has finished.  ``events``
-    capture each solver-relevant branch decision as (constraint delta
-    since the root, ((arm, feasible), …)); ``leaves`` the finished
-    paths.  Both are deltas against the root's list lengths
-    (``c0``/``e0``/…), so a later signature twin can splice its own
-    prefix in front.
-    """
-
-    sig: Tuple[Any, ...]
-    depth: int
-    c0: int
-    e0: int
-    b0: int
-    s0: int
-    w0: int
-    steps0: int
-    events: List[Tuple[Tuple[Any, ...], Tuple[Tuple[Any, bool], ...]]] = field(
-        default_factory=list
-    )
-    leaves: List[_Leaf] = field(default_factory=list)
-    #: Unreplayable: the subtree called recv_packet (fresh-variable
-    #: names embed the execution-trace length) or truncated on the
-    #: absolute per-path step budget.
-    poisoned: bool = False
-    done_count: int = 0
-    max_steps_delta: int = 0
+        """Conservation check: every state is explored or truncated —
+        pruning can never silently drop one."""
+        return self.states_explored + self.paths_truncated
 
 
 class SymbolicEngine:
@@ -239,11 +178,6 @@ class SymbolicEngine:
             cache=self.config.solver_cache,
         )
         self.stats = ExploreStats()
-        #: Completed recordings keyed by state signature.
-        self._frames: Dict[Tuple[Any, ...], _Frame] = {}
-        #: Recordings still accumulating (ancestors of the current pop).
-        self._open_frames: List[_Frame] = []
-        self._intern_table: Optional[InternTable] = None
 
     # -- public -------------------------------------------------------------
 
@@ -275,40 +209,30 @@ class SymbolicEngine:
         initial = SymState(pc=first, env=dict(init_env or {}))
         worker_solver = {"checks": 0, "hits": 0, "misses": 0, "unknowns": 0}
 
-        table = InternTable() if self.config.intern_exprs else None
         span = obs_trace.span(
             "se.explore", stmts=len(stmts), strategy=self.config.strategy
         )
-        with interning(table):
-            self._intern_table = table
-            with span, Stopwatch() as sw:
-                finished: List[SymState] = []
-                if (
-                    self.config.strategy == "frontier"
-                    and self.config.parallel_paths > 1
-                ):
-                    self._explore_frontier(
-                        block, initial, cfg, stmts, watched, finished, worker_solver
-                    )
-                else:
-                    stack = make_strategy(
-                        self.config.strategy, self.config.strategy_seed
-                    )
-                    stack.push(initial)
-                    self._drive(stack, cfg, stmts, watched, finished)
-                results = self._finalize(finished)
-                span.set(
-                    paths_done=self.stats.paths_done,
-                    paths_pruned=self.stats.paths_pruned,
-                    paths_truncated=self.stats.paths_truncated,
-                    paths_error=self.stats.paths_error,
-                    forks=self.stats.forks,
-                    steps=self.stats.steps,
-                    pruned_subsumed=self.stats.pruned_subsumed,
-                    witness_hits=self.stats.witness_hits,
-                    exhausted=self.stats.exhausted,
+        with span, Stopwatch() as sw:
+            finished: List[SymState] = []
+            if self.config.strategy == "frontier" and self.config.parallel_paths > 1:
+                self._explore_frontier(
+                    block, initial, cfg, stmts, watched, finished, worker_solver
                 )
-            self._intern_table = None
+            else:
+                stack = make_strategy(self.config.strategy, self.config.strategy_seed)
+                stack.push(initial)
+                self._drive(stack, cfg, stmts, watched, finished)
+            results = self._finalize(finished)
+            span.set(
+                paths_done=self.stats.paths_done,
+                paths_pruned=self.stats.paths_pruned,
+                paths_truncated=self.stats.paths_truncated,
+                paths_error=self.stats.paths_error,
+                forks=self.stats.forks,
+                steps=self.stats.steps,
+                witness_hits=self.stats.witness_hits,
+                exhausted=self.stats.exhausted,
+            )
         self.stats.elapsed_s = sw.elapsed
         self.stats.solver_checks = self.solver.checks + worker_solver["checks"]
         self.stats.solver_cache_hits = self.solver.cache_hits + worker_solver["hits"]
@@ -318,13 +242,6 @@ class SymbolicEngine:
         self.stats.solver_unknowns = (
             self.solver.unknown_hits + worker_solver["unknowns"]
         )
-        if table is not None:
-            tstats = table.stats()
-            self.stats.intern_size += tstats["size"]
-            self.stats.intern_hits += tstats["hits"]
-            self.stats.intern_misses += tstats["misses"]
-            obs_metrics.counter("se.intern_hits").inc(tstats["hits"])
-            obs_metrics.counter("se.intern_misses").inc(tstats["misses"])
         obs_metrics.counter("se.steps").inc(self.stats.steps)
         return results
 
@@ -341,24 +258,15 @@ class SymbolicEngine:
         watched = watched or set()
         cfg = build_cfg(block)
         stmts = {s.sid: s for s in iter_block(block)}
-        table = InternTable() if self.config.intern_exprs else None
         finished: List[SymState] = []
-        with interning(table):
-            self._intern_table = table
-            stack = make_strategy("dfs", self.config.strategy_seed)
-            for seed in seeds:
-                stack.push(seed)
-            self._drive(stack, cfg, stmts, watched, finished)
-            self._intern_table = None
+        stack = make_strategy("dfs", self.config.strategy_seed)
+        for seed in seeds:
+            stack.push(seed)
+        self._drive(stack, cfg, stmts, watched, finished)
         self.stats.solver_checks = self.solver.checks
         self.stats.solver_cache_hits = self.solver.cache_hits
         self.stats.solver_cache_misses = self.solver.cache_misses
         self.stats.solver_unknowns = self.solver.unknown_hits
-        if table is not None:
-            tstats = table.stats()
-            self.stats.intern_size = tstats["size"]
-            self.stats.intern_hits = tstats["hits"]
-            self.stats.intern_misses = tstats["misses"]
         return finished, self.stats
 
     # -- drive loop ----------------------------------------------------------
@@ -371,63 +279,23 @@ class SymbolicEngine:
         watched: Set[str],
         finished: List[SymState],
         stop_at: Optional[int] = None,
-        frames: Optional[bool] = None,
     ) -> None:
         """Pop-and-run until the stack drains (or ``stop_at`` pending
         states accumulate — the frontier hand-off point)."""
-        # Subsumption recording assumes LIFO scheduling (a frame closes
-        # when the stack height returns to its open depth); bfs/random
-        # interleave subtrees, so recording is disabled there.  Callers
-        # driving a non-LIFO stack (the frontier's phase A) pass
-        # ``frames=False`` explicitly.
-        if frames is None:
-            frames = self.config.strategy in ("dfs", "frontier")
-        frames_on = self.config.subsumption and frames
-        self._frames = {}
-        self._open_frames = []
         while stack:
             if self.stats.paths_done >= self.config.max_paths:
                 self.stats.exhausted = True
                 break
             if stop_at is not None and len(stack) >= stop_at:
                 break  # hand the pending frontier to the process pool
-            while self._open_frames and len(stack) <= self._open_frames[-1].depth:
-                frame = self._open_frames.pop()
-                if not frame.poisoned:
-                    self._frames.setdefault(frame.sig, frame)
             state = stack.pop()
             obs_metrics.counter("se.states_popped").inc()
-            if frames_on:
-                sig = state_signature(state)
-                if sig is not None:
-                    frame = self._frames.get(sig)
-                    if frame is not None and self._try_graft(state, frame, finished):
-                        continue
-                    if frame is None:
-                        self._open_frames.append(
-                            _Frame(
-                                sig=sig,
-                                depth=len(stack),
-                                c0=len(state.constraints),
-                                e0=len(state.executed),
-                                b0=len(state.branches),
-                                s0=len(state.sent),
-                                w0=len(state.state_writes),
-                                steps0=state.steps,
-                            )
-                        )
-            result = self._run_state(state, cfg, stmts, watched, stack)
-            if result is None:
-                continue
-            self._finish_state(result, finished, from_graft=False)
-        # Frames still open here (budget break, hand-off, or simply the
-        # last subtree) are never needed again: drop them.
-        self._open_frames = []
+            self._finish_state(
+                self._run_state(state, cfg, stmts, watched, stack), finished
+            )
 
-    def _finish_state(
-        self, state: SymState, finished: List[SymState], from_graft: bool
-    ) -> None:
-        """Account for one finished path and record it into open frames."""
+    def _finish_state(self, state: SymState, finished: List[SymState]) -> None:
+        """Account for one finished path."""
         finished.append(state)
         if state.status == "done":
             self.stats.paths_done += 1
@@ -441,107 +309,8 @@ class SymbolicEngine:
         else:
             self.stats.paths_pruned += 1
             obs_metrics.counter("se.paths_infeasible").inc()
-        if not from_graft and state.status != "truncated":
+        if state.status != "truncated":
             self.stats.states_explored += 1
-        if state.status == "truncated" and "step budget" in state.note:
-            # Truncation point depends on the *absolute* step count,
-            # which a signature twin does not share.
-            for frame in self._open_frames:
-                frame.poisoned = True
-            return
-        for frame in self._open_frames:
-            steps_delta = state.steps - frame.steps0
-            frame.leaves.append(
-                _Leaf(
-                    status=state.status,
-                    note=state.note,
-                    c_delta=tuple(state.constraints[frame.c0:]),
-                    e_delta=tuple(state.executed[frame.e0:]),
-                    b_delta=tuple(state.branches[frame.b0:]),
-                    sent_delta=tuple(state.sent[frame.s0:]),
-                    w_delta=tuple(state.state_writes[frame.w0:]),
-                    env=state.env,
-                    steps_delta=steps_delta,
-                )
-            )
-            frame.done_count += state.status == "done"
-            frame.max_steps_delta = max(frame.max_steps_delta, steps_delta)
-
-    def _record_event(self, state: SymState, arms: List[Tuple[Any, bool]]) -> None:
-        """Record one branch decision into every open recording frame."""
-        if not arms or not self._open_frames:
-            return
-        packed = tuple(arms)
-        for frame in self._open_frames:
-            frame.events.append((tuple(state.constraints[frame.c0:]), packed))
-
-    def _try_graft(
-        self, state: SymState, frame: _Frame, finished: List[SymState]
-    ) -> bool:
-        """Replay a recorded subtree under ``state``'s prefix.
-
-        Sound because every recorded feasibility decision is re-checked
-        under the new prefix first (the solver is deterministic, and a
-        witness-decided arm is truly satisfiable, so re-checking can
-        never disagree with what normal execution would have concluded);
-        any mismatch bails out to normal execution.  Byte-identical
-        because equal signatures mean canonically-equal environments,
-        hence identical subtree structure and leaf deltas.
-        """
-        if frame.poisoned:
-            return False
-        # Conservative budget guards: bail whenever the path budget
-        # could interrupt the subtree mid-way, or a replayed leaf would
-        # newly exceed the per-path step budget.
-        if self.stats.paths_done + frame.done_count >= self.config.max_paths:
-            return False
-        if state.steps + frame.max_steps_delta > self.config.max_steps_per_path:
-            return False
-        # Re-check every recorded branch decision under the new prefix.
-        # The prefix is propagated once into a base context; each event
-        # extends a copy with its subtree delta, each arm a copy of
-        # that — results match Solver.check() on the full conjunction.
-        base = self.solver.context()
-        self.solver.absorb_into(base, state.constraints)
-        for delta, arms in frame.events:
-            ctx = base
-            if delta:
-                ctx = base.copy()
-                self.solver.absorb_into(ctx, delta)
-            for arm, was_feasible in arms:
-                if self.solver.check_assuming(ctx, [arm]).feasible != was_feasible:
-                    return False
-        self.stats.pruned_subsumed += 1
-        obs_metrics.counter("se.pruned_subsumed").inc()
-        # The replayed decisions and leaves are part of every still-open
-        # ancestor's subtree too: re-record them rebased on the new
-        # prefix so outer frames stay complete.
-        if self._open_frames:
-            for delta, arms in frame.events:
-                for outer in self._open_frames:
-                    outer.events.append(
-                        (
-                            tuple(state.constraints[outer.c0:]) + delta,
-                            arms,
-                        )
-                    )
-        for leaf in frame.leaves:
-            replayed = SymState(
-                pc=EXIT,
-                env=leaf.env,
-                constraints=state.constraints + list(leaf.c_delta),
-                executed=state.executed + list(leaf.e_delta),
-                branches=state.branches + list(leaf.b_delta),
-                sent=state.sent + [(dict(f), p) for f, p in leaf.sent_delta],
-                state_writes=state.state_writes + list(leaf.w_delta),
-                loop_counts={},
-                steps=state.steps + leaf.steps_delta,
-                status=leaf.status,
-                note=leaf.note,
-                witness=None,
-            )
-            self._finish_state(replayed, finished, from_graft=True)
-        return True
 
     def _finalize(self, finished: List[SymState]) -> List[PathResult]:
         """Canonically order, number, and filter finished states.
@@ -625,18 +394,13 @@ class SymbolicEngine:
         Phase A runs *breadth*-first: a DFS stack dives into one subtree
         and rarely holds more than a handful of pending siblings, so it
         may drain the whole program without ever reaching the hand-off
-        width.  BFS widens the frontier level by level instead.
-        Subsumption recording is LIFO-only, so it is off during phase A
-        (the phase is a few dozen pops — the workers, which do the bulk
-        of the exploration, still record and graft)."""
+        width.  BFS widens the frontier level by level instead."""
         from repro.parallel import explore_frontier_parts
 
         jobs = self.config.parallel_paths
         stack = make_strategy("bfs", self.config.strategy_seed)
         stack.push(initial)
-        self._drive(
-            stack, cfg, stmts, watched, finished, stop_at=jobs * 4, frames=False
-        )
+        self._drive(stack, cfg, stmts, watched, finished, stop_at=jobs * 4)
         pending = stack.drain()
         if not pending:
             return
@@ -654,11 +418,7 @@ class SymbolicEngine:
             self.stats.forks += stats["forks"]
             self.stats.steps += stats["steps"]
             self.stats.states_explored += stats["states_explored"]
-            self.stats.pruned_subsumed += stats["pruned_subsumed"]
             self.stats.witness_hits += stats["witness_hits"]
-            self.stats.intern_size += stats["intern_size"]
-            self.stats.intern_hits += stats["intern_hits"]
-            self.stats.intern_misses += stats["intern_misses"]
             self.stats.exhausted = self.stats.exhausted or stats["exhausted"]
             worker_solver["checks"] += stats["solver_checks"]
             worker_solver["hits"] += stats["solver_cache_hits"]
@@ -674,12 +434,12 @@ class SymbolicEngine:
         stmts: Dict[int, Stmt],
         watched: Set[str],
         stack: "Strategy",
-    ) -> Optional[SymState]:
-        """Advance ``state`` until it finishes or forks.
+    ) -> SymState:
+        """Advance ``state`` until it finishes.
 
-        Forked siblings are pushed onto ``stack``; the surviving state is
-        returned when it reaches EXIT (or is pruned — then with a
-        non-live status).
+        Forked siblings are pushed onto ``stack``; ``state`` is returned
+        when it reaches EXIT (or is pruned, truncated or fails — then
+        with a non-live status).
         """
         while True:
             if state.pc == EXIT:
@@ -807,13 +567,11 @@ class SymbolicEngine:
             if wtruth is False:
                 self.stats.witness_hits += 1
                 obs_metrics.counter("se.witness_hits").inc()
-                self._record_event(state, [(exit_cond, True)])
                 self._take(state, stmt, cond, False, cfg)
                 return self._branch_target(cfg, stmt.sid, False)
             result, exit_ctx = self.solver.check_extended(
                 state.constraints, ctx, exit_cond
             )
-            self._record_event(state, [(exit_cond, result.feasible)])
             if result.feasible:
                 if self.config.witness_shortcut:
                     state.witness = (
@@ -829,7 +587,6 @@ class SymbolicEngine:
         feasible: List[bool] = []
         arm_ctxs: Dict[bool, SolverContext] = {}
         arm_wits: Dict[bool, Optional[Dict[str, Any]]] = {}
-        events: List[Tuple[Any, bool]] = []
         for outcome in (True, False):
             arm = cond if outcome else mk_app("not", cond)
             if isinstance(arm, bool):
@@ -842,17 +599,14 @@ class SymbolicEngine:
                 obs_metrics.counter("se.witness_hits").inc()
                 feasible.append(outcome)
                 arm_wits[outcome] = wit
-                events.append((arm, True))
                 continue
             result, arm_ctx = self.solver.check_extended(state.constraints, ctx, arm)
-            events.append((arm, result.feasible))
             if result.feasible:
                 feasible.append(outcome)
                 arm_ctxs[outcome] = arm_ctx
                 arm_wits[outcome] = (
                     result.assignment if result.status == "sat" else None
                 )
-        self._record_event(state, events)
 
         if not feasible:
             state.status = "pruned"
@@ -1328,11 +1082,6 @@ class SymbolicEngine:
                 raise _PathError("send_packet() argument is not a packet")
             return None
         if name == "recv_packet":
-            # Fresh-variable names embed the trace length, which a
-            # signature twin need not share: recordings containing this
-            # call cannot be replayed.
-            for frame in self._open_frames:
-                frame.poisoned = True
             return SymPacket.fresh(f"pkt{len(state.executed)}")
         if name == "len":
             (arg,) = args

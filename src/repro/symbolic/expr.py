@@ -18,9 +18,8 @@ test-packet generation.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.util.hashing import stable_hash
 
@@ -35,7 +34,7 @@ class Sym:
     __slots__ = ()
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The hash-consed memos (see canon / _leaves_of) are derived
+        # The memos (see canon / _leaves_of) are derived
         # state, and a leaf's _leaves_memo frozenset contains the leaf
         # itself — a cycle through a hashable container that pickle
         # cannot rebuild. Ship nodes bare; memos regrow on first use.
@@ -88,90 +87,6 @@ class SDictVal(Sym):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         suffix = "".join(f"[{i}]" for i in self.path)
         return f"${self.dict_name}[{self.key_canon}]{suffix}"
-
-
-# ---------------------------------------------------------------------------
-# Hash-consing (expression interning)
-# ---------------------------------------------------------------------------
-
-
-class InternTable:
-    """A hash-consing table making structurally-equal nodes pointer-equal.
-
-    Installed per engine run (:func:`interning`); while active, every
-    node built through :func:`mk_app` (or passed to :func:`intern_node`)
-    is deduplicated against the table, so equal subtrees share one
-    object.  Sharing means each node's ``canon``/leaf-set memo is
-    computed once per *unique* tree instead of once per copy, structural
-    comparisons degenerate to pointer comparisons, and solver-cache keys
-    are built from already-memoized strings.
-
-    Lookup keys use child object identity, not deep equality: children
-    are interned first, so a parent's key is ``(op, ids of args)`` —
-    O(arity) per node.  The table keeps every interned node alive, which
-    is what makes the ``id()``-based keys sound (a live object's id is
-    never reused).
-    """
-
-    __slots__ = ("_nodes", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._nodes: Dict[Any, Sym] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def intern(self, node: Sym) -> Sym:
-        if isinstance(node, SApp):
-            key: Any = (node.op,) + tuple(
-                ("s", id(a)) if isinstance(a, Sym) else ("c", type(a).__name__, a)
-                for a in node.args
-            )
-        elif isinstance(node, SVar):
-            key = ("v", node.name, node.lo, node.hi, node.boolean)
-        elif isinstance(node, SDictVal):
-            key = ("d", node.dict_name, node.key_canon, node.path)
-        else:
-            return node
-        try:
-            found = self._nodes.get(key)
-        except TypeError:
-            return node  # unhashable embedded arg (e.g. a list): skip
-        if found is not None:
-            self.hits += 1
-            return found
-        self._nodes[key] = node
-        self.misses += 1
-        return node
-
-    def stats(self) -> Dict[str, int]:
-        return {"size": len(self._nodes), "hits": self.hits, "misses": self.misses}
-
-
-#: The ambient table; ``None`` disables interning (the seed behaviour).
-_INTERN: Optional[InternTable] = None
-
-
-@contextmanager
-def interning(table: Optional[InternTable]) -> Iterator[Optional[InternTable]]:
-    """Install ``table`` as the ambient intern table for the duration."""
-    global _INTERN
-    prev = _INTERN
-    _INTERN = table
-    try:
-        yield table
-    finally:
-        _INTERN = prev
-
-
-def intern_node(node: Sym) -> Sym:
-    """Dedup one node against the ambient table (identity when none)."""
-    table = _INTERN
-    if table is None:
-        return node
-    return table.intern(node)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +219,7 @@ class SymDict:
 def canon(value: Any) -> str:
     """A canonical string for a symbolic value (structural identity).
 
-    Results are hash-consed onto the (immutable) expression nodes
+    Results are memoized onto the (immutable) expression nodes
     themselves: ``canon``/``leaf_key`` run in the solver's innermost
     loops (cache keying, complement detection, domain lookup), and a
     node's canonical form never changes, so each tree is stringified at
@@ -358,7 +273,7 @@ def is_concrete(value: Any) -> bool:
 def sym_vars(value: Any) -> Set[Sym]:
     """All symbolic leaves (SVar / SDictVal / member atoms) in ``value``.
 
-    Per-node results are hash-consed (like :func:`canon`): subtrees are
+    Per-node results are memoized (like :func:`canon`): subtrees are
     shared heavily across path constraints, so each node's leaf set is
     computed once and reused as a frozen set.
     """
@@ -450,8 +365,8 @@ def mk_app(op: str, *args: Any) -> Any:
         if isinstance(a, SApp) and a.op == "not":
             return a.args[0]
         if isinstance(a, SApp) and a.op in _NEG:
-            return intern_node(SApp(_NEG[a.op], a.args))
-        return intern_node(SApp("not", (a,)))
+            return SApp(_NEG[a.op], a.args)
+        return SApp("not", (a,))
     if op in ("and", "or"):
         flat: List[Any] = []
         seen: Set[str] = set()
@@ -477,10 +392,10 @@ def mk_app(op: str, *args: Any) -> Any:
             return op == "and"
         if len(flat) == 1:
             return flat[0]
-        return intern_node(SApp(op, tuple(flat)))
+        return SApp(op, tuple(flat))
     if op == "cond" and len(args) == 3 and canon(args[1]) == canon(args[2]):
         return args[1]  # both arms equal: the test is irrelevant
-    return intern_node(SApp(op, tuple(args)))
+    return SApp(op, tuple(args))
 
 
 def _apply_concrete(op: str, args: Tuple[Any, ...]) -> Any:

@@ -43,9 +43,9 @@ Performance layer (docs/internals.md §7):
   instead of re-propagating the whole prefix.  The context falls back
   to full re-propagation whenever leaf-equality classes merge, because
   class-wide domain intersection is not expressible as a single-atom
-  update.  A caller that probes many extensions of one prefix — the
-  engine's subsumption validator, or ``apps/verify.push_space`` with
-  one input space against every table entry — absorbs the prefix once
+  update.  A caller that probes many extensions of one prefix —
+  ``apps/verify.push_space`` checks one input space against every
+  table entry — absorbs the prefix once
   (:meth:`Solver.absorb_into`) and checks each extension on a copy
   (:meth:`Solver.check_assuming`).
 """
@@ -552,10 +552,8 @@ class Solver:
         """Fold ``constraints`` into ``ctx`` in order (stops on conflict).
 
         Lets a caller build a reusable propagated base for a shared
-        constraint prefix — the engine's subsumption validator absorbs
-        a state's path condition once and re-checks many recorded
-        branch arms against copies, and ``push_space`` absorbs its
-        input space once for every table entry (:meth:`check_assuming`).
+        constraint prefix — ``push_space`` absorbs its input space once
+        for every table entry (:meth:`check_assuming`).
         """
         for c in constraints:
             if ctx.conflict:

@@ -1,11 +1,11 @@
 """Guards for the engine cold-path stack (docs/internals.md §9).
 
-The three cold-path layers — path subsumption, expression interning,
-and frontier-parallel exploration — all claim to be behaviour-
-preserving *by construction*: toggling any of them, or changing the
-exploration strategy, must produce byte-identical serialized models.
-These tests pin that claim corpus-wide, plus the strategy/config
-validation and the explored/pruned/truncated accounting identity.
+The two cold-path layers — the witness shortcut and frontier-parallel
+exploration — both claim to be behaviour-preserving *by construction*:
+toggling the shortcut, or changing the exploration strategy, must
+produce byte-identical serialized models.  These tests pin that claim
+corpus-wide, plus the strategy/config validation and the
+explored/truncated accounting identity.
 """
 
 from __future__ import annotations
@@ -76,34 +76,21 @@ class TestCrossStrategyByteIdentity:
 
 
 class TestToggleByteIdentity:
-    """Each cold-path layer off (and all off): identical bytes."""
+    """The witness shortcut off: identical bytes."""
 
     @pytest.mark.parametrize("name", ["firewall", "nat", "proxycache"])
     def test_layers_are_behaviour_preserving(self, name):
-        reference = _model_bytes(name)
-        assert _model_bytes(name, subsumption=False) == reference
-        assert _model_bytes(name, intern_exprs=False) == reference
-        assert _model_bytes(name, witness_shortcut=False) == reference
-        assert (
-            _model_bytes(
-                name,
-                subsumption=False,
-                intern_exprs=False,
-                witness_shortcut=False,
-            )
-            == reference
-        )
+        assert _model_bytes(name, witness_shortcut=False) == _model_bytes(name)
 
 
-# A compact program whose branch structure produces duplicate states:
-# both arms of the first branch leave an identical environment, so the
-# second/third branches are explored once and grafted once.
-DUPLICATING_SOURCE = (
+# A compact branching program: three nested symbolic branches, so a
+# small per-path step budget truncates some paths and not others.
+ACCOUNTING_SOURCE = (
     "def cb(pkt):\n"
     "    if pkt.ttl > 64:\n"
     "        x = 1\n"
     "    else:\n"
-    "        x = 1\n"
+    "        x = 2\n"
     "    if pkt.dport == 80:\n"
     "        if pkt.sport == 53:\n"
     "            send_packet(pkt)\n"
@@ -111,7 +98,7 @@ DUPLICATING_SOURCE = (
 
 
 def _explore(**engine_kwargs):
-    flat = flatten_program(parse_program(DUPLICATING_SOURCE, entry="cb"))
+    flat = flatten_program(parse_program(ACCOUNTING_SOURCE, entry="cb"))
     engine = SymbolicEngine(EngineConfig(**engine_kwargs))
     registry = obs_metrics.MetricsRegistry()
     previous = obs_metrics.install(registry)
@@ -124,36 +111,22 @@ def _explore(**engine_kwargs):
 
 class TestAccounting:
     def test_states_total_identity(self):
-        for subsumption in (False, True):
-            _, stats, _ = _explore(subsumption=subsumption)
+        _, full, _ = _explore()
+        _, cut, _ = _explore(max_steps_per_path=4)
+        assert full.paths_truncated == 0 and cut.paths_truncated > 0
+        for stats in (full, cut):
             assert stats.states_total == (
-                stats.states_explored
-                + stats.pruned_subsumed
-                + stats.paths_truncated
+                stats.states_explored + stats.paths_truncated
             )
 
-    def test_subsumption_prunes_duplicate_states(self):
-        _, on, _ = _explore(subsumption=True)
-        _, off, _ = _explore(subsumption=False)
-        assert on.pruned_subsumed > 0
-        assert off.pruned_subsumed == 0
-        assert on.states_explored < off.states_explored
-        # Both runs finish the same path set.
-        assert on.paths_done == off.paths_done
-
     def test_popped_counter_matches_work_done(self):
-        _, off, counters_off = _explore(subsumption=False)
-        assert counters_off["se.states_popped"] == off.states_total
-        _, on, counters_on = _explore(subsumption=True)
-        # A graft emits leaves without popping their states.
-        assert counters_on["se.states_popped"] <= on.states_total
-        assert counters_on["se.pruned_subsumed"] == on.pruned_subsumed
+        for budget in (100_000, 4):
+            _, stats, counters = _explore(max_steps_per_path=budget)
+            assert counters["se.states_popped"] == stats.states_total
 
     def test_states_total_is_derived(self):
-        stats = ExploreStats(
-            states_explored=5, pruned_subsumed=2, paths_truncated=1
-        )
-        assert stats.states_total == 8
+        stats = ExploreStats(states_explored=5, paths_truncated=1)
+        assert stats.states_total == 6
 
 
 # Two programs whose witness shortcut, unchecked, would carry a witness

@@ -126,6 +126,23 @@ class TestRefactorHelpers:
         assert kept == {flat.block[0].sid}
         assert len(block) == 1
 
+    def test_model_guards_share_equal_subtrees(self, firewall_result):
+        # Paths evaluate the same branch conditions separately;
+        # build_model keeps one object per distinct guard subtree, so a
+        # stored model pickles each subtree once.
+        ids = {}
+
+        def walk(value):
+            if isinstance(value, SApp):
+                ids.setdefault(canon(value), set()).add(id(value))
+                for arg in value.args:
+                    walk(arg)
+
+        for entry in firewall_result.model.all_entries():
+            for conjunct in entry.guard():
+                walk(conjunct)
+        assert ids and all(len(objs) == 1 for objs in ids.values())
+
 
 class TestSubstFields:
     def test_packet_var_replaced(self):

@@ -212,21 +212,30 @@ class TestFSM:
 
 
 class TestMatchIndex:
-    """The exact-match entry index (simulator fast path).
+    """The exact-match index: the compiled model's dispatch tree.
 
-    Contract: byte-identical to the linear scan (``use_index=False``),
-    including first-match priority among entries that tie on the
-    indexed field — the index only skips entries whose pinning
-    conjunct is provably false for the packet.
+    Contract: byte-identical to :class:`ModelSimulator`'s priority scan,
+    including first-match priority among entries that tie on a split
+    field — the tree only skips entries whose pinning conjunct is
+    provably false for the packet.
     """
 
-    def _mk_sim(self, entries, state=None, **kwargs):
-        from repro.model.simulator import ModelSimulator
-
+    def _mk_model(self, entries):
         model = NFModel(name="t")
         for entry in entries:
             model.add_entry(entry)
-        return ModelSimulator(model, state if state is not None else {}, **kwargs)
+        return model
+
+    def _mk_scan(self, entries, state=None):
+        from repro.model.simulator import ModelSimulator
+
+        return ModelSimulator(self._mk_model(entries), state if state is not None else {})
+
+    def _mk_compiled(self, entries, state=None):
+        from repro.model.compile import compile_model
+
+        compiled = compile_model(self._mk_model(entries))
+        return compiled, compiled.simulator(state if state is not None else {})
 
     def test_index_picks_best_covered_field(self):
         entries = [
@@ -234,8 +243,8 @@ class TestMatchIndex:
             make_entry(2, flow=[mk_app("==", PKT_DPORT, 443)]),
             make_entry(3, flow=[mk_app("==", SVar("pkt.proto", 0, 255), 6)]),
         ]
-        sim = self._mk_sim(entries)
-        assert sim.index_field == "dport"
+        compiled, _sim = self._mk_compiled(entries)
+        assert compiled._root.field == "dport"
 
     def test_constant_on_either_side_pins(self):
         # ``const == pkt.f`` and ``pkt.f == const`` both pin the field.
@@ -243,23 +252,23 @@ class TestMatchIndex:
             make_entry(1, flow=[mk_app("==", 80, PKT_DPORT)]),
             make_entry(2, flow=[mk_app("==", PKT_DPORT, 443)]),
         ]
-        sim = self._mk_sim(entries)
-        assert sim.index_field == "dport"
-        assert sorted(sim._index) == [80, 443]
+        compiled, _sim = self._mk_compiled(entries)
+        assert compiled._root.field == "dport"
+        assert sorted(compiled._root.branches) == [80, 443]
 
     def test_unresolvable_cfg_stays_residual(self):
         entries = [
             make_entry(1, flow=[mk_app("==", PKT_DPORT, SVar("cfg.gone", 0, 1))]),
             make_entry(2, flow=[mk_app("==", PKT_DPORT, 80)]),
         ]
-        sim = self._mk_sim(entries, state={})
-        # Only one entry pins a concrete value -> no index at all.
-        assert sim.index_field is None
+        compiled, _sim = self._mk_compiled(entries)
+        # Only one entry pins a concrete value -> no split at all.
+        assert compiled._root.field is None
 
     def test_priority_tie_break_matches_scan(self):
         # Entry 1 (residual: no dport conjunct) must still beat entry 2
         # (indexed) when both guards hold, because it comes first.
-        # Not an equality -> never pinned, so dport carries the index.
+        # Not an equality -> never pinned, so dport carries the split.
         always = mk_app("<", SVar("pkt.proto", 0, 255), 255)
         entries = [
             make_entry(1, flow=[always]),
@@ -267,19 +276,18 @@ class TestMatchIndex:
             make_entry(3, flow=[always, mk_app("==", PKT_DPORT, 443)]),
         ]
         pkt = Packet(proto=6, dport=80)
-        indexed = self._mk_sim(entries)
-        scan = self._mk_sim(entries, use_index=False)
-        assert indexed.index_field == "dport"
-        assert indexed.match_entry(pkt).entry_id == 1
-        assert scan.match_entry(pkt).entry_id == 1
+        compiled, sim = self._mk_compiled(entries)
+        assert compiled._root.field == "dport"
+        assert sim.match_entry(pkt).entry_id == 1
+        assert self._mk_scan(entries).match_entry(pkt).entry_id == 1
         # And the symmetric case: indexed entry first.
         flipped = [
             make_entry(1, flow=[always, mk_app("==", PKT_DPORT, 80)]),
             make_entry(2, flow=[always]),
             make_entry(3, flow=[always, mk_app("==", PKT_DPORT, 80)]),
         ]
-        for kwargs in ({}, {"use_index": False}):
-            assert self._mk_sim(flipped, **kwargs).match_entry(pkt).entry_id == 1
+        assert self._mk_compiled(flipped)[1].match_entry(pkt).entry_id == 1
+        assert self._mk_scan(flipped).match_entry(pkt).entry_id == 1
 
     def test_miss_bucket_scans_only_residual(self):
         entries = [
@@ -287,7 +295,7 @@ class TestMatchIndex:
             make_entry(2, flow=[mk_app("==", PKT_DPORT, 443)]),
             make_entry(3, flow=[mk_app("==", SVar("pkt.proto", 0, 255), 17)]),
         ]
-        sim = self._mk_sim(entries)
+        _compiled, sim = self._mk_compiled(entries)
         entry = sim.match_entry(Packet(proto=17, dport=9999))
         assert entry.entry_id == 3
         assert sim.stats.guard_evals == 1  # residual only, no bucket
@@ -300,14 +308,9 @@ class TestMatchIndex:
         from repro.model.simulator import ModelSimulator
 
         for result in (firewall_result, lb_result):
-            indexed = ModelSimulator(
-                result.model, copy.deepcopy(result.module_env), result.pkt_param
-            )
+            indexed = result.make_compiled_simulator()
             scan = ModelSimulator(
-                result.model,
-                copy.deepcopy(result.module_env),
-                result.pkt_param,
-                use_index=False,
+                result.model, copy.deepcopy(result.module_env), result.pkt_param
             )
             for _ in range(120):
                 pkt = Packet(
@@ -328,16 +331,11 @@ class TestMatchIndex:
 
         from repro.model.simulator import ModelSimulator
 
-        indexed = ModelSimulator(
+        indexed = lb_result.make_compiled_simulator()
+        scan = ModelSimulator(
             lb_result.model, copy.deepcopy(lb_result.module_env), lb_result.pkt_param
         )
-        scan = ModelSimulator(
-            lb_result.model,
-            copy.deepcopy(lb_result.module_env),
-            lb_result.pkt_param,
-            use_index=False,
-        )
-        assert indexed.index_field is not None
+        assert indexed.compiled_model._root.field is not None
         for _ in range(50):
             pkt = Packet(ip_src=1, ip_dst=2, dport=9999, tcp_flags=0x02)
             indexed.process(pkt.copy())

@@ -160,20 +160,14 @@ class TestCorpusDifferentialFuzz:
 
     @pytest.mark.parametrize("name", nf_names())
     def test_index_and_dispatch_switches(self, name):
-        """use_index / dispatch on-off: all four lowerings agree, on the
-        deployed-config model and on the parametric one (whose config
-        conjuncts the compiled guards evaluate at run time)."""
+        """The scan and both compiled lowerings (dispatch on/off) agree,
+        on the deployed-config model and on the parametric one (whose
+        config conjuncts the compiled guards evaluate at run time)."""
         for parametric in (False, True):
             result = synthesize_cached(name, parametric=parametric)
             packets = _workload(name, 1000, seed=99)
             sims = {
                 "scan": ModelSimulator(
-                    result.model,
-                    copy.deepcopy(result.module_env),
-                    pkt_param=result.pkt_param,
-                    use_index=False,
-                ),
-                "indexed": ModelSimulator(
                     result.model,
                     copy.deepcopy(result.module_env),
                     pkt_param=result.pkt_param,
@@ -339,8 +333,6 @@ class TestDispatchTree:
             make_entry(2, flow=[mk_app("==", PKT_DPORT, 443),
                                 mk_app("==", PKT_SPORT, 2)]),
         ]
-        sim = ModelSimulator(make_model(*entries), {})
-        assert sim.index_field == "dport"
         cm = compile_model(make_model(*entries))
         assert cm._root.field == "dport"
 
@@ -392,26 +384,6 @@ class TestDispatchTree:
             assert a is b, (pkt, a, b)
         # The catch-all wins only when nothing more specific matches.
         assert comp.match_entry(Packet(proto=1)) is entries[3]
-
-
-class TestPremergedIndex:
-    def test_candidates_is_single_dict_get(self):
-        entries = [
-            make_entry(1, flow=[mk_app("==", PKT_DPORT, 80)]),
-            make_entry(2, flow=[]),
-            make_entry(3, flow=[mk_app("==", PKT_DPORT, 443)]),
-        ]
-        sim = ModelSimulator(make_model(*entries), {})
-        assert sim.index_field == "dport"
-        # Bucket hit: the premerged list object itself, no per-packet merge.
-        got = sim._candidates(Packet(dport=80))
-        assert got is sim._merged[80]
-        assert [e.entry_id for e in got] == [1, 2]
-        assert [e.entry_id for e in sim._candidates(Packet(dport=443))] == [2, 3]
-        # Bucket miss: the shared residual list.
-        miss = sim._candidates(Packet(dport=9))
-        assert miss is sim._residual_entries
-        assert [e.entry_id for e in miss] == [2]
 
 
 class TestServeSimulate:
@@ -519,13 +491,18 @@ class TestGuardCodeTier:
             "wrong-code": other,
         }[damage]
         store.put_object(GUARDS_KIND, guard_key(key), bad)
-        with caplog.at_level(logging.WARNING, logger="repro.model.compile"):
+        hits = store.counters.get("kind.guards.hits", 0)
+        misses = store.counters.get("kind.guards.misses", 0)
+        with caplog.at_level(logging.WARNING, logger="repro.cache"):
             again = _simulate_as_new_worker()
         assert again == good
         assert _compiles(serve_worker) == 2
         assert serve_worker.counter("sim.guard_loads").value == 0
+        # A rejected pair is a store miss, never a hit.
+        assert store.counters.get("kind.guards.hits", 0) == hits
+        assert store.counters["kind.guards.misses"] == misses + 1
         assert [
-            r for r in caplog.records if "recompiling" in r.getMessage()
+            r for r in caplog.records if "failed to load" in r.getMessage()
         ], caplog.text
         # The recompile overwrote the bad pair: the next worker loads.
         assert _simulate_as_new_worker() == good

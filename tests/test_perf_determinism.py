@@ -1,13 +1,13 @@
 """Guards for the performance layers (docs/internals.md §7).
 
 Every optimisation in the solver/engine perf stack — constraint
-caching, incremental propagation, expression interning, parallel batch
+caching, incremental propagation, parallel batch
 synthesis — claims to be behaviour-preserving.  These tests pin that
 claim: identical paths and byte-identical models with the cache
 enabled/disabled/warm/cold, incremental checks equal to from-scratch
 checks (including across union-find merges), parallel batches equal to
 sequential ones, and the supporting machinery (iterative union-find,
-metrics merging, pickling of interned expressions).
+metrics merging, pickling of memoized expressions).
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class TestUnionFind:
         assert clone.find("a") == clone.find("c")
 
 
-class TestInterning:
+class TestCanonMemo:
     def test_canon_memoized_once(self):
         node = mk_app("+", SVar("pkt.z", 0, 9), 1)
         assert canon(node) is canon(node)
