@@ -1,9 +1,10 @@
 """E10 — cluster scaling: warm QPS, stickiness and failover under shards.
 
-Measures the PR-8 sharded cluster end-to-end over real sockets — an
-in-process :class:`~repro.serve.cluster.ClusterHandle` (N shard servers
-plus the consistent-hash router), against private per-shard cache
-directories:
+Measures the sharded cluster end-to-end over real sockets — an
+in-process :class:`~repro.serve.cluster.ClusterHandle` (N shard
+servers), driven through :class:`~repro.serve.client.ClusterClient`,
+which places each request on its shard by consistent hashing, against
+private per-shard cache directories:
 
 - **warm QPS** — single-node warm throughput vs. the same corpus
   through a sharded cluster.  On a box with ``cpu_count >= 4`` the
@@ -18,7 +19,7 @@ directories:
   must be byte-identical to the single-node one for every NF;
 - **failover** — killing one shard mid-load must lose nothing: every
   request of the segment still answers 200 (spilled to the next ring
-  node) and the router's ``serve.cluster.failover`` counter moves.
+  node) and the client's ``ClusterClient.failovers`` count moves.
 
 Runs two ways:
 
@@ -40,7 +41,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from common import print_table, write_bench_json
-from repro.serve import ClusterHandle, ServeClient, ServeConfig, ServerHandle
+from repro.serve import (
+    ClusterClient,
+    ClusterHandle,
+    ServeClient,
+    ServeConfig,
+    ServerHandle,
+)
 
 CORPUS_QUICK = ["nat", "firewall", "monitor"]
 CORPUS_FULL = ["nat", "firewall", "monitor", "l2switch", "ratelimiter", "balance"]
@@ -64,14 +71,14 @@ def _model_sig(response) -> str:
     return json.dumps(response.payload["result"]["model"], sort_keys=True)
 
 
-def _fire(port: int, work: List[str], threads: int) -> Tuple[float, List[_Sample]]:
-    """Fire ``work`` synthesize requests from ``threads`` clients; wall-time it."""
+def _fire(client, work: List[str], threads: int) -> Tuple[float, List[_Sample]]:
+    """Fire ``work`` synthesize requests from ``threads`` threads sharing
+    ``client`` (each thread gets its own connections); wall-time it."""
     samples: List[_Sample] = []
     lock = threading.Lock()
     cursor = iter(work)
 
     def pump() -> None:
-        client = ServeClient("127.0.0.1", port, timeout=300)
         try:
             while True:
                 with lock:
@@ -111,9 +118,10 @@ def measure_single(names: List[str], rounds: int, threads: int,
     handle = ServerHandle(ServeConfig(port=0, workers=1, cache_dir=cache_dir))
     handle.start()
     try:
-        _fire(handle.port, list(names), 1)          # cold: fill the cache
-        _fire(handle.port, list(names), 1)          # touch: memory tier hot
-        elapsed, samples = _fire(handle.port, _warm_plan(names, rounds), threads)
+        client = ServeClient("127.0.0.1", handle.port, timeout=300)
+        _fire(client, list(names), 1)               # cold: fill the cache
+        _fire(client, list(names), 1)               # touch: memory tier hot
+        elapsed, samples = _fire(client, _warm_plan(names, rounds), threads)
     finally:
         handle.stop()
     sigs = {}
@@ -131,10 +139,10 @@ def measure_cluster(names: List[str], rounds: int, shards: int,
                     threads: int) -> Dict[str, object]:
     """Cluster warm QPS, stickiness, hit rate and envelope signatures."""
     with ClusterHandle(shards=shards, workers_per_shard=1) as cluster:
-        port = cluster.router_port
-        _fire(port, list(names), 1)                 # cold: fill shard caches
-        _fire(port, list(names), 1)                 # touch: memory tiers hot
-        elapsed, samples = _fire(port, _warm_plan(names, rounds), threads)
+        client = ClusterClient(cluster.endpoints, timeout=300)
+        _fire(client, list(names), 1)               # cold: fill shard caches
+        _fire(client, list(names), 1)               # touch: memory tiers hot
+        elapsed, samples = _fire(client, _warm_plan(names, rounds), threads)
     shards_hit: Dict[str, set] = {}
     sigs: Dict[str, str] = {}
     for sample in samples:
@@ -156,15 +164,13 @@ def measure_cluster(names: List[str], rounds: int, shards: int,
 def measure_failover(names: List[str], shards: int) -> Dict[str, object]:
     """Kill a shard mid-segment; every request must still answer 200.
 
-    Health probes are off so the dead shard is discovered on the
-    request path itself — that is what makes ``serve.cluster.failover``
-    move deterministically.
+    The client has no background probes: the dead shard is discovered
+    on the request path itself, which is what makes
+    ``ClusterClient.failovers`` move.
     """
-    with ClusterHandle(shards=shards, workers_per_shard=1,
-                       health_interval_s=0) as cluster:
-        port = cluster.router_port
-        _fire(port, list(names), 1)                 # warm every shard
-        client = ServeClient("127.0.0.1", port, timeout=300)
+    with ClusterHandle(shards=shards, workers_per_shard=1) as cluster:
+        client = ClusterClient(cluster.endpoints, timeout=300)
+        _fire(client, list(names), 1)               # warm every shard
         segment = _warm_plan(names, 4)
         kill_at = len(segment) // 3
         ok = lost = 0
@@ -189,13 +195,11 @@ def measure_failover(names: List[str], shards: int) -> Dict[str, object]:
                     lost += 1
         finally:
             client.close()
-        assert cluster.router_handle is not None
-        counters = cluster.router_handle.registry.snapshot()["counters"]
     return {
         "failover_requests": len(segment),
         "failover_ok": ok,
         "failover_lost": lost,
-        "failover_count": int(counters.get("serve.cluster.failover", 0)),
+        "failover_count": client.failovers,
     }
 
 
@@ -255,7 +259,7 @@ def check(row: Dict[str, object]) -> List[str]:
             f"{row['failover_lost']} requests lost while killing a shard"
         )
     if row["failover_count"] == 0:
-        failures.append("shard kill produced no serve.cluster.failover")
+        failures.append("shard kill produced no failover")
     return failures
 
 

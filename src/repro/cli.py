@@ -675,7 +675,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
-    """``repro serve --cluster N``: N shards + router in one process."""
+    """``repro serve --cluster N``: N shards in one process."""
     import signal
     import threading
 
@@ -701,38 +701,17 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         cache_root=args.cache_dir,
         warmup=not args.no_warmup,
         queue_size=args.queue_size,
-        router_port=args.port,
+        port=args.port,
         base_config=base,
     ) as cluster:
-        shards = " ".join(
-            f"{args.host}:{p}" for p in cluster.shard_ports
-        )
+        shards = ",".join(f"{host}:{port}" for host, port in cluster.endpoints)
         print(
-            f"cluster up: router {args.host}:{cluster.router_port} -> "
-            f"{args.cluster} shards ({shards}), {workers} workers each",
+            f"cluster up: {args.cluster} shards, {workers} workers each; "
+            f"query with --shards {shards}",
             flush=True,
         )
         stop.wait()
     return 0
-
-
-def cmd_route(args: argparse.Namespace) -> int:
-    from repro.cache.store import parse_peers
-    from repro.serve.router import RouterConfig, run_router
-
-    shards = parse_peers(args.shards)
-    if not shards:
-        raise SystemExit(
-            f"error: --shards needs host:port[,host:port...], got {args.shards!r}"
-        )
-    return run_router(
-        RouterConfig(
-            host=args.host,
-            port=args.port,
-            shards=shards,
-            health_interval_s=args.health_interval,
-        )
-    )
 
 
 def _query_spec(target: str) -> Optional[NFSpec]:
@@ -755,14 +734,31 @@ def _query_spec(target: str) -> Optional[NFSpec]:
 def cmd_query(args: argparse.Namespace) -> int:
     import json
 
-    from repro.serve.client import ServeClient, ServeError
+    from repro.cache.store import parse_peers
+    from repro.serve.client import ClusterClient, ServeClient, ServeError
 
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
+    if args.shards is not None:
+        endpoints = parse_peers(args.shards)
+        if not endpoints:
+            raise SystemExit(
+                f"error: --shards needs host:port[,host:port...], "
+                f"got {args.shards!r}"
+            )
+        if args.action in ("healthz", "metrics"):
+            raise SystemExit(
+                f"error: query {args.action} asks one server; use --port"
+            )
+        client = ClusterClient(endpoints, timeout=args.timeout)
+        servers = list(client.clients.values())
+    else:
+        client = ServeClient(args.host, args.port, timeout=args.timeout)
+        servers = [client]
     if args.wait:
-        if not client.wait_until_up(args.wait):
-            print(f"error: no server at {args.host}:{args.port} "
-                  f"after {args.wait:.0f}s", file=sys.stderr)
-            return 1
+        for server in servers:
+            if not server.wait_until_up(args.wait):
+                print(f"error: no server at {server.address} "
+                      f"after {args.wait:.0f}s", file=sys.stderr)
+                return 1
 
     def packet_args(pairs: list) -> list:
         packets = []
@@ -826,6 +822,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 1
 
     print(json.dumps(response.payload, indent=2))
+    if args.shards is not None:
+        print(f"shard: {response.shard}", file=sys.stderr)
     return 0 if response.ok else 1
 
 
@@ -1120,8 +1118,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cluster", type=int, default=0, metavar="N",
-        help="run N shard servers behind a consistent-hash router "
-        "(--port is the router; shards get ephemeral ports)",
+        help="run N shard servers on --port ... --port+N-1 (ephemeral "
+        "when --port is 0); query them with repro query --shards",
     )
     p.add_argument(
         "--join", metavar="HOST:PORT[,HOST:PORT...]",
@@ -1141,22 +1139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
-        "route",
-        help="run the cluster router in front of running shard servers",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8100, help="0 = ephemeral")
-    p.add_argument(
-        "--shards", required=True, metavar="HOST:PORT[,HOST:PORT...]",
-        help="the shard servers to route across",
-    )
-    p.add_argument(
-        "--health-interval", type=float, default=1.0,
-        help="seconds between shard health probes (0 disables)",
-    )
-    p.set_defaults(func=cmd_route)
-
-    p = sub.add_parser(
         "query", help="query a running repro serve instance"
     )
     p.add_argument(
@@ -1173,6 +1155,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000)
+    p.add_argument(
+        "--shards", metavar="HOST:PORT[,HOST:PORT...]",
+        help="send the request to the shard that owns it on a "
+        "consistent-hash ring over these servers, failing over along "
+        "the ring (instead of --host/--port); the serving shard is "
+        "printed on stderr",
+    )
     p.add_argument("--timeout", type=float, default=120.0, help="client timeout")
     p.add_argument(
         "--wait", type=float, default=0.0, metavar="SECONDS",

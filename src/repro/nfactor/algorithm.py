@@ -714,7 +714,7 @@ def target_artifact_keys(
 
     The watch daemon uses this to know exactly which artifacts to push
     to serve shards before asking them to flip versions; the sim key
-    matches :func:`repro.serve.jobs._sim_bundle`'s derivation, and the
+    matches :func:`repro.serve.jobs._sim_key`, and the
     guards key is :func:`repro.model.compile.guard_key` of it.
     """
     from repro.model.compile import guard_key

@@ -25,54 +25,56 @@ Production shape (docs/internals.md §10):
   and kept in an always-on flight recorder (``GET /debugz/requests``,
   ``repro trace``), with structured JSON logs tagged by request id.
 
-Cluster mode (docs/internals.md §13): ``repro serve --cluster N``
-shards the service behind a **consistent-hash router** — each request
-routes by its artifact-key material so a given model's traffic always
-lands on the shard whose caches are hot for it; shards **peer-fill**
-artifact-cache misses from each other over ``GET /cas/...`` (checksum
-verified on read — corruption is a logged miss and a local recompute,
-never a wrong answer); a joining shard **warms up** from a peer's
-``/registry``; a dead shard's key range spills to the next ring node
-(``serve.cluster.failover``), degraded but never hung.
+Cluster mode (docs/internals.md §13): ``repro serve --cluster N`` runs
+N shards, and the **client** places each request:
+:class:`~repro.serve.client.ClusterClient` hashes the request's
+artifact-key material onto a consistent-hash ring, so a given model's
+traffic always lands on the shard whose caches are hot for it, and
+sends it straight there.  Shards **peer-fill** artifact-cache misses
+from each other over ``GET /cas/...`` (checksum verified on read —
+corruption is a logged miss and a local recompute, never a wrong
+answer); a joining shard **warms up** from a peer's ``/registry``; a
+dead or draining shard's keys go to the next ring node
+(``ClusterClient.failovers``), degraded but never hung.
 
 Modules: :mod:`~repro.serve.protocol` (HTTP/JSON framing),
 :mod:`~repro.serve.queue` (admission control),
 :mod:`~repro.serve.jobs` (worker-side request handlers),
 :mod:`~repro.serve.server` (the asyncio shard server),
-:mod:`~repro.serve.ring` (consistent hashing),
-:mod:`~repro.serve.router` (the cluster routing proxy),
+:mod:`~repro.serve.ring` (consistent hashing and routing keys),
 :mod:`~repro.serve.peers` (cache peer-fill + replica warm-up),
-:mod:`~repro.serve.cluster` (the N-shards-plus-router harness),
-:mod:`~repro.serve.client` (blocking client library used by
-``repro query`` and the benchmarks).
+:mod:`~repro.serve.cluster` (the N-shard harness),
+:mod:`~repro.serve.client` (blocking single-shard and cluster clients,
+used by ``repro query`` and the benchmarks).
 """
 
 from __future__ import annotations
 
-from repro.serve.client import ServeClient, ServeError, ServeResponse
+from repro.serve.client import (
+    ClusterClient,
+    ServeClient,
+    ServeError,
+    ServeResponse,
+)
 from repro.serve.cluster import ClusterHandle
 from repro.serve.protocol import ProtocolError
 from repro.serve.queue import BoundedRequestQueue, QueueClosed, QueueFull
 from repro.serve.ring import HashRing
-from repro.serve.router import Router, RouterConfig, RouterHandle, run_router
 from repro.serve.server import Server, ServeConfig, ServerHandle, run_server
 
 __all__ = [
     "BoundedRequestQueue",
+    "ClusterClient",
     "ClusterHandle",
     "HashRing",
     "ProtocolError",
     "QueueClosed",
     "QueueFull",
-    "Router",
-    "RouterConfig",
-    "RouterHandle",
     "ServeClient",
     "ServeConfig",
     "ServeError",
     "ServeResponse",
     "Server",
     "ServerHandle",
-    "run_router",
     "run_server",
 ]

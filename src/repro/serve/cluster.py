@@ -1,24 +1,26 @@
-"""In-process cluster harness: N shards + a router, one call.
+"""In-process cluster harness: N shards, one call.
 
 The ``repro serve --cluster N`` entry point and what the cluster tests
 and benchmarks drive.  Each shard is a full :class:`~repro.serve.server.
 Server` on its own background thread with its **own worker pool and
 private artifact-cache directory** (so per-shard cache hit rates are
 real, not an artifact of a shared filesystem), wired to every other
-shard as a cache peer.  A :class:`~repro.serve.router.RouterHandle`
-fronts them.
+shard as a cache peer.  Nothing fronts them: a
+:class:`~repro.serve.client.ClusterClient` over :attr:`ClusterHandle.
+endpoints` places each request on its shard itself.
 
-Shard ports are pre-allocated (bind port 0, read the assignment, close)
-before any server starts, because every shard needs the *full* peer
+Shard ports are fixed before any server starts (``port``, ``port+1``,
+... or, with ``port=0``, pre-allocated by binding port 0, reading the
+assignment and closing), because every shard needs the *full* peer
 list at pool-creation time — worker processes learn their peers through
 pool ``initargs``, which are fixed when the pool spawns.  The classic
 bind-race caveat does not bite here: allocation and rebind happen
 within milliseconds on a loopback interface.
 
 For real deployments the same topology runs as separate OS processes:
-``repro serve --port P --join ...`` per shard plus ``repro route
---shards ...`` — which is exactly what the CI cluster-smoke job does so
-it can ``kill -9`` a shard.
+``repro serve --port P --join ...`` per shard, queried with ``repro
+query --shards ...`` — which is exactly what the CI cluster-smoke job
+does so it can ``kill -9`` a shard.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from __future__ import annotations
 import socket
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.serve.router import RouterConfig, RouterHandle
 from repro.serve.server import ServeConfig, ServerHandle
 
 
@@ -48,14 +49,16 @@ def allocate_ports(n: int, host: str = "127.0.0.1") -> List[int]:
 
 
 class ClusterHandle:
-    """N shard servers + router, each on a background thread.
+    """N shard servers, each on a background thread.
 
     ::
 
         with ClusterHandle(shards=2, workers_per_shard=1) as cluster:
-            client = ServeClient("127.0.0.1", cluster.router_port)
+            client = ClusterClient(cluster.endpoints)
             ...
 
+    ``port=0`` gives the shards ephemeral ports; any other ``port``
+    puts them on ``port`` ... ``port + shards - 1``.
     ``cache_root=None`` gives every shard a private temp directory
     (cleaned up on stop); pass a path to persist/warm across runs.
     """
@@ -68,24 +71,21 @@ class ClusterHandle:
         cache_root: Optional[str] = None,
         warmup: bool = False,
         queue_size: int = 64,
-        health_interval_s: float = 0.2,
-        router_port: int = 0,
+        port: int = 0,
         base_config: Optional[ServeConfig] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("cluster needs at least one shard")
         self.n_shards = shards
-        self._router_port = router_port
+        self.port = port
         self.workers_per_shard = workers_per_shard
         self.host = host
         self.warmup = warmup
         self.queue_size = queue_size
-        self.health_interval_s = health_interval_s
         self.base_config = base_config
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self.cache_root = cache_root
         self.shard_handles: List[ServerHandle] = []
-        self.router_handle: Optional[RouterHandle] = None
         self.shard_ports: List[int] = []
 
     # -- lifecycle -----------------------------------------------------------
@@ -97,10 +97,11 @@ class ClusterHandle:
         else:
             root = Path(self.cache_root)
             root.mkdir(parents=True, exist_ok=True)
-        self.shard_ports = allocate_ports(self.n_shards, self.host)
-        endpoints: List[Tuple[str, int]] = [
-            (self.host, port) for port in self.shard_ports
-        ]
+        if self.port:
+            self.shard_ports = [self.port + i for i in range(self.n_shards)]
+        else:
+            self.shard_ports = allocate_ports(self.n_shards, self.host)
+        endpoints = self.endpoints
         try:
             for i, port in enumerate(self.shard_ports):
                 peers = tuple(
@@ -116,14 +117,6 @@ class ClusterHandle:
                 handle.prepare()
             for handle in self.shard_handles:
                 handle.start()
-            self.router_handle = RouterHandle(
-                RouterConfig(
-                    host=self.host,
-                    port=self._router_port,
-                    shards=tuple(endpoints),
-                    health_interval_s=self.health_interval_s,
-                )
-            ).start()
         except BaseException:
             self.stop()
             raise
@@ -153,9 +146,6 @@ class ClusterHandle:
         return config
 
     def stop(self, timeout: float = 60.0) -> None:
-        if self.router_handle is not None:
-            self.router_handle.stop()
-            self.router_handle = None
         for handle in self.shard_handles:
             try:
                 handle.stop(timeout)
@@ -173,9 +163,9 @@ class ClusterHandle:
     # -- introspection -------------------------------------------------------
 
     @property
-    def router_port(self) -> int:
-        assert self.router_handle is not None
-        return self.router_handle.port
+    def endpoints(self) -> List[Tuple[str, int]]:
+        """``(host, port)`` of every shard, for a ``ClusterClient``."""
+        return [(self.host, port) for port in self.shard_ports]
 
     def shard_registries(self) -> List:
         return [handle.registry for handle in self.shard_handles]
@@ -185,10 +175,3 @@ class ClusterHandle:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def parse_endpoints(text: str) -> Tuple[Tuple[str, int], ...]:
-    """``"host:port,host:port"`` → endpoint tuples (the CLI flag format)."""
-    from repro.cache.store import parse_peers
-
-    return parse_peers(text)

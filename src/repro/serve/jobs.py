@@ -20,6 +20,8 @@ The synthesize hot path goes through the artifact cache's model tier
 adds its own ``sim`` artifact kind — ``(model, module_env, pkt_param)``
 — so a warm simulate skips the pipeline entirely, and loads the model's
 compiled guard code from the ``guards`` kind instead of compiling it.
+A worker keeps the compiled models it served last in memory, so a
+repeat simulate there reads neither tier.
 """
 
 from __future__ import annotations
@@ -174,34 +176,39 @@ def _op_synthesize(body: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def _sim_bundle(
-    body: Dict[str, Any],
-) -> Tuple[Optional[str], Tuple[Any, Dict[str, Any], str]]:
-    """(cache key, (model, module_env, pkt_param)) from the ``sim`` tier.
+def _sim_key(name: str, source: str, entry: Optional[str]) -> Optional[str]:
+    """The ``sim``-tier key of one target (None with the cache off).
 
     Key = the model-tier key, so source/config/schema-version changes
     invalidate both tiers together.  The key also identifies the
-    in-process compiled-model memo and derives the ``guards``-tier key
-    of the model's stored guard code.
+    in-process simulation memo and derives the ``guards``-tier key of
+    the model's stored guard code.
     """
-    from repro.nfactor.algorithm import (
-        NFactor,
-        NFactorConfig,
-        _model_key,
+    from repro.nfactor.algorithm import NFactorConfig, _model_key
+
+    config = NFactorConfig()
+    if not config.artifact_cache:
+        return None
+    return artifact_cache.artifact_key(
+        "sim", (_model_key(source, name, entry, config),)
     )
 
+
+def _sim_bundle(
+    body: Dict[str, Any],
+) -> Tuple[Optional[str], Tuple[Any, Dict[str, Any], str]]:
+    """(sim key, (model, module_env, pkt_param)) from the ``sim`` tier,
+    or from synthesis on a miss."""
+    from repro.nfactor.algorithm import NFactor
+
     name, source, entry = _resolve_target(body)
-    config = NFactorConfig()
+    key = _sim_key(name, source, entry)
     store = artifact_cache.get_store()
-    key = None
-    if config.artifact_cache:
-        key = artifact_cache.artifact_key(
-            "sim", (_model_key(source, name, entry, config),)
-        )
+    if key is not None:
         hit = store.get_object("sim", key)
         if hit is not None:
             return key, hit
-    result = NFactor(source, name=name, entry=entry, config=config).synthesize()
+    result = NFactor(source, name=name, entry=entry).synthesize()
     bundle = (result.model, result.module_env, result.pkt_param)
     if key is not None:
         store.put_object("sim", key, bundle)
@@ -250,28 +257,33 @@ class _LruMemo:
         return key in self._items
 
 
-#: Per-worker memo of compiled models, keyed on the sim-tier key.
-#: Bounded: a worker serves a handful of distinct models at a time.
+#: Per-worker memo of ``(compiled model, module_env, name)``, keyed on
+#: the sim-tier key.  Bounded: a worker serves a handful of distinct
+#: models at a time.
 _COMPILED_MEMO_MAX = 8
 _COMPILED_MEMO = _LruMemo(_COMPILED_MEMO_MAX)
 
 
-def _compiled_for(key: Optional[str], model: Any, pkt_param: str) -> Any:
-    """The compiled form of ``model``, memoized per worker process.
+def _simulation(body: Dict[str, Any]) -> Tuple[Any, Dict[str, Any], str]:
+    """(compiled model, module_env, model name) for a simulate request.
 
-    A memo miss loads the model's guard code from the artifact store's
-    ``guards`` tier, so only the first miss anywhere compiles.
+    Memoized per worker process: a hit reads neither the artifact store
+    nor the compiler.  A miss reads the ``sim`` tier (or synthesizes)
+    and loads the model's guard code from the ``guards`` tier, so only
+    the first miss anywhere compiles.  Callers simulate on a copy of
+    ``module_env``; the memoized one is never mutated.
     """
     from repro.model.compile import compiled_model_cached
 
+    key = _sim_key(*_resolve_target(body))
+    hit = _COMPILED_MEMO.get(key) if key is not None else None
+    if hit is not None:
+        return hit
+    key, (model, module_env, pkt_param) = _sim_bundle(body)
+    entry = (compiled_model_cached(model, pkt_param, key), module_env, model.name)
     if key is not None:
-        hit = _COMPILED_MEMO.get(key)
-        if hit is not None:
-            return hit
-    compiled = compiled_model_cached(model, pkt_param, key)
-    if key is not None:
-        _COMPILED_MEMO.put(key, compiled)
-    return compiled
+        _COMPILED_MEMO.put(key, entry)
+    return entry
 
 
 def _op_simulate(body: Dict[str, Any]) -> Dict[str, Any]:
@@ -293,8 +305,7 @@ def _op_simulate(body: Dict[str, Any]) -> Dict[str, Any]:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"packet #{i}: {exc}")
 
-    key, (model, module_env, pkt_param) = _sim_bundle(body)
-    compiled = _compiled_for(key, model, pkt_param)
+    compiled, module_env, name = _simulation(body)
     sim = compiled.simulator(deep_copy(module_env))
     sent_lists = sim.process_many(packets)
     obs_metrics.counter("sim.compiled").inc()
@@ -314,7 +325,7 @@ def _op_simulate(body: Dict[str, Any]) -> Dict[str, Any]:
         stats.compiled_dispatches
     )
     out = {
-        "name": model.name,
+        "name": name,
         "compiled": True,
         "outputs": outputs,
         "stats": {

@@ -49,7 +49,6 @@ STATUS_REASONS: Dict[int, str] = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
-    502: "Bad Gateway",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -63,7 +62,6 @@ ERROR_CODES: Dict[int, str] = {
     413: "payload_too_large",
     429: "queue_full",
     500: "internal",
-    502: "bad_upstream",
     503: "draining",
     504: "deadline_exceeded",
 }
@@ -162,95 +160,6 @@ async def read_request(reader) -> Optional[HttpRequest]:
         headers=headers,
         body=body,
     )
-
-
-@dataclass
-class HttpResponse:
-    """One parsed response (the router's upstream side of a proxy hop)."""
-
-    status: int
-    headers: Dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
-
-    @property
-    def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
-
-
-async def read_response(reader) -> Optional[HttpResponse]:
-    """Parse one HTTP response off a stream; None on a clean EOF.
-
-    The consuming side of :func:`render_response` — what the cluster
-    router reads back from a shard when proxying.  Malformed upstream
-    bytes raise :class:`ProtocolError` with status 502 so the router
-    can relay a ``bad_upstream`` envelope instead of hanging.
-    """
-    try:
-        line = await reader.readline()
-    except (ConnectionError, ValueError):
-        return None
-    if not line:
-        return None
-    if len(line) > MAX_LINE_BYTES:
-        raise ProtocolError(502, "upstream status line too long")
-    parts = line.decode("latin-1").strip().split(" ", 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-        raise ProtocolError(502, f"malformed upstream status line: {line[:80]!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise ProtocolError(502, f"bad upstream status: {parts[1]!r}")
-
-    headers: Dict[str, str] = {}
-    for _ in range(MAX_HEADERS + 1):
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        if len(raw) > MAX_LINE_BYTES:
-            raise ProtocolError(502, "upstream header line too long")
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise ProtocolError(502, f"malformed upstream header: {raw[:80]!r}")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise ProtocolError(502, "too many upstream headers")
-
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise ProtocolError(502, f"bad upstream Content-Length: {length_text!r}")
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise ProtocolError(502, f"bad upstream body size {length}")
-    body = b""
-    if length:
-        try:
-            body = await reader.readexactly(length)
-        except Exception:
-            raise ProtocolError(502, "upstream body truncated")
-    return HttpResponse(status=status, headers=headers, body=body)
-
-
-def render_request(
-    method: str,
-    path: str,
-    body: bytes = b"",
-    *,
-    headers: Optional[Dict[str, str]] = None,
-    content_type: str = "application/json",
-) -> bytes:
-    """Serialize one HTTP request (the router's proxy hop to a shard)."""
-    lines = [
-        f"{method} {path} HTTP/1.1",
-        "Host: shard",
-        f"Content-Length: {len(body)}",
-        "Connection: close",
-    ]
-    if body:
-        lines.append(f"Content-Type: {content_type}")
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 def render_response(

@@ -1,10 +1,10 @@
-"""Consistent-hash ring for the sharded serve cluster.
+"""Shard placement for the serve cluster: the hash ring and routing keys.
 
-The router places every shard on a hash ring at ``vnodes`` points
-(virtual nodes smooth the key distribution), and routes each request by
-walking clockwise from the hash of its **routing key** to the first
-shard.  Two properties make this the right structure for a cache-heavy
-cluster (docs/internals.md §13):
+:class:`~repro.serve.client.ClusterClient` places every shard on a hash
+ring at ``vnodes`` points (virtual nodes smooth the key distribution),
+and sends each request to the first shard clockwise from the hash of
+its **routing key** (:func:`routing_key`).  Two properties make this
+the right structure for a cache-heavy cluster (docs/internals.md §13):
 
 - **stickiness** — a given artifact key always lands on the same shard,
   so that shard's constraint cache, artifact tiers and compiled-model
@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.cache.keys import stable_fingerprint
 
 #: Virtual nodes per shard.  64 keeps the max/min key-share ratio under
 #: ~1.6 for small clusters, at negligible memory cost.
@@ -136,3 +138,42 @@ class HashRing:
         return {
             node: count / samples for node, count in sorted(counts.items())
         }
+
+
+def routing_key(op: str, body: Dict[str, Any]) -> str:
+    """The consistent-hash key for one request.
+
+    Mirrors the cache-key material of :mod:`repro.serve.jobs`: two
+    requests that would share cached artifacts hash to the same shard.
+    Op-independent on purpose — a ``synthesize`` and a ``simulate`` of
+    the same NF share the model tier, so they belong together.
+    """
+    if op == "verify_graph":
+        # Route on topology + model bindings: repeated verifications of
+        # one graph land on the shard whose edge-summary cache is hot.
+        material: Any = (
+            "graph",
+            body.get("nodes"),
+            body.get("edges"),
+            body.get("generate"),
+        )
+    elif op in ("verify", "compose"):
+        material = (
+            "chain",
+            body.get("chain"),
+            body.get("chain_a"),
+            body.get("chain_b"),
+        )
+    else:
+        material = (
+            "target",
+            body.get("nf") or body.get("name"),
+            body.get("source"),
+            body.get("entry"),
+        )
+    try:
+        return stable_fingerprint(material)
+    except (TypeError, ValueError):
+        # Un-encodable bodies (bad request shapes) still need *a* shard
+        # to produce the 400; route on the op name.
+        return stable_fingerprint(("op", op))

@@ -213,7 +213,7 @@ class Server:
         sockets; as long as any process holds a listener FD the kernel
         keeps accepting connections into a backlog nobody drains, so a
         crashed shard's port would black-hole new connects instead of
-        refusing them and the router could not fail over promptly.
+        refusing them and clients could not fail over promptly.
         ``ClusterHandle`` calls this for every shard before starting
         any of them, since shards share one parent process there.
         """
@@ -1089,7 +1089,7 @@ class ServerHandle:
         forked workers inherit a copy of the listening socket, and as
         long as any process holds that FD the kernel keeps accepting
         connections into a backlog nobody drains — new connects would
-        hang instead of being refused, and the router could not fail
+        hang instead of being refused, and clients could not fail
         over promptly.
         """
         if self._thread is None or not self._thread.is_alive():

@@ -451,10 +451,23 @@ def _compiles(registry):
     return registry.histogram("sim.compile_seconds").as_dict()["count"]
 
 
-def _simulate_as_new_worker():
+def _simulate_as_new_worker(body=_SIM_BODY):
     """One simulate request in a worker whose memo is empty."""
     serve_jobs._COMPILED_MEMO.clear()
-    return serve_jobs._op_simulate(dict(_SIM_BODY))
+    return serve_jobs._op_simulate(dict(body))
+
+
+#: A reply that nat drops unless an earlier packet opened its port,
+#: then the outbound packet that opens it.
+_NAT_BODY = {
+    "nf": "nat",
+    "packets": [
+        {"ip_dst": 203 * 2**24 + 113 * 2**8 + 1, "dport": 20000, "proto": 6,
+         "ttl": 64},
+        {"ip_src": 10 * 2**24 + 5, "sport": 1111, "ip_dst": 8 * 2**24 + 8,
+         "proto": 6, "ttl": 64},
+    ],
+}
 
 
 class TestGuardCodeTier:
@@ -466,6 +479,22 @@ class TestGuardCodeTier:
         assert first == second
         assert _compiles(serve_worker) == 1
         assert serve_worker.counter("sim.guard_loads").value == 1
+
+    def test_memo_hit_skips_the_sim_tier(self, serve_worker):
+        _simulate_as_new_worker()
+        counters = artifact_cache.get_store().counters
+        hits = counters.get("kind.sim.hits", 0)
+        misses = counters.get("kind.sim.misses", 0)
+        serve_jobs._op_simulate(dict(_SIM_BODY))
+        assert counters.get("kind.sim.hits", 0) == hits
+        assert counters.get("kind.sim.misses", 0) == misses
+
+    def test_memo_hit_simulates_from_the_initial_state(self, serve_worker):
+        fresh = [_simulate_as_new_worker(_NAT_BODY) for _ in range(2)]
+        assert [out["forwarded"] for out in fresh[0]["outputs"]] == [False, True]
+        serve_jobs._COMPILED_MEMO.clear()
+        memoized = [serve_jobs._op_simulate(dict(_NAT_BODY)) for _ in range(2)]
+        assert memoized == fresh
 
     def test_memo_hit_neither_compiles_nor_loads(self, serve_worker):
         _simulate_as_new_worker()

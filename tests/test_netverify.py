@@ -470,7 +470,7 @@ class TestServeOp:
             )
 
     def test_routing_key_is_graph_shaped(self):
-        from repro.serve.router import routing_key
+        from repro.serve.ring import routing_key
 
         body1 = {"nodes": [["A", "monitor"]], "edges": []}
         body2 = {"nodes": [["A", "nat"]], "edges": []}

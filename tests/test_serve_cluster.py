@@ -1,16 +1,19 @@
-"""Tests for the sharded serve cluster (ring, router, peer-fill).
+"""Tests for the sharded serve cluster (ring, cluster client, peer-fill).
 
-The distributed behaviours under test (ISSUE acceptance):
+The distributed behaviours under test:
 
-- consistent-hash routing is sticky (same key → same shard, so that
-  shard's caches stay hot) and spreads distinct keys across shards;
+- consistent-hash placement in the client is sticky (same key → same
+  shard, so that shard's caches stay hot) and spreads distinct keys
+  across shards;
 - cache peer-fill moves artifacts between shards over ``/cas`` with
   checksum verification on read — a corrupted blob is a logged miss
   (``cache.peer.corrupt``) and a local recompute with an identical
   result, never a wrong answer;
 - replica warm-up pre-populates a joining shard from a peer's registry;
 - killing a shard mid-load fails its key range over to the next ring
-  node (``serve.cluster.failover``) without losing accepted requests.
+  node (``ClusterClient.failovers``) without losing requests; a
+  draining shard's 503 fails over too, and a shard whose connection
+  failed is tried last until its cool-down ends.
 
 Integration tests run real servers on ephemeral ports; per-shard
 private cache directories make per-shard hit rates meaningful.
@@ -26,7 +29,9 @@ import pytest
 
 from repro.cache.keys import artifact_key
 from repro.cache.store import ArtifactStore, parse_peers
-from repro.serve import ServeClient, ServeConfig, ServerHandle
+from repro.serve import ClusterClient, ServeClient, ServeConfig, ServerHandle
+from repro.serve import client as client_module
+from repro.serve.client import SHARD_COOLDOWN_S, ServeError
 from repro.serve.cluster import ClusterHandle, allocate_ports
 from repro.serve.jobs import _LruMemo
 from repro.serve.queue import (
@@ -34,8 +39,7 @@ from repro.serve.queue import (
     RETRY_AFTER_MIN_S,
     retry_after_jitter,
 )
-from repro.serve.ring import HashRing
-from repro.serve.router import routing_key
+from repro.serve.ring import HashRing, routing_key
 
 
 # -- consistent hashing -------------------------------------------------------
@@ -370,8 +374,8 @@ class TestClusterIntegration:
         with ClusterHandle(
             shards=2, workers_per_shard=1, cache_root=str(tmp_path)
         ) as cluster:
-            client = ServeClient("127.0.0.1", cluster.router_port, timeout=60)
-            assert client.wait_until_up(30)
+            client = ClusterClient(cluster.endpoints, timeout=60)
+            assert all(c.wait_until_up(30) for c in client.clients.values())
             # The contract: observed placement IS the ring's placement.
             ring = HashRing(
                 f"127.0.0.1:{h.port}" for h in cluster.shard_handles
@@ -390,7 +394,7 @@ class TestClusterIntegration:
                 first = client.synthesize(nf).raise_for_status()
                 again = client.synthesize(nf).raise_for_status()
                 assert first.shard == again.shard == expected[nf], (
-                    f"{nf}: router placed on {first.shard}, "
+                    f"{nf}: client placed on {first.shard}, "
                     f"ring says {expected[nf]}"
                 )
                 assert again.result["cached"] is True, (
@@ -402,15 +406,15 @@ class TestClusterIntegration:
             client.close()
 
     def test_cluster_envelope_matches_single_node(self, tmp_path):
-        """Envelopes through the router are byte-identical in every
+        """Envelopes from the cluster are byte-identical in every
         deterministic field to a single-node server's."""
         with shard(tmp_path, "solo") as (_handle, solo_client):
             solo = solo_client.synthesize("nat").raise_for_status()
         with ClusterHandle(
             shards=2, workers_per_shard=1, cache_root=str(tmp_path / "c")
         ) as cluster:
-            client = ServeClient("127.0.0.1", cluster.router_port, timeout=60)
-            assert client.wait_until_up(30)
+            client = ClusterClient(cluster.endpoints, timeout=60)
+            assert all(c.wait_until_up(30) for c in client.clients.values())
             clustered = client.synthesize("nat").raise_for_status()
             client.close()
         assert _model_sig(solo) == _model_sig(clustered)
@@ -418,15 +422,13 @@ class TestClusterIntegration:
         assert set(solo.payload) == set(clustered.payload)
 
     def test_failover_spills_to_next_ring_node(self, tmp_path):
-        # health_interval_s=0: no background probes, so the kill is
-        # discovered *by a request* — the deterministic way to observe
-        # the per-request failover path and its counter.
+        # The kill is discovered *by a request*: the client has no
+        # background probes, so this is the per-request failover path.
         with ClusterHandle(
             shards=2, workers_per_shard=1, cache_root=str(tmp_path),
-            health_interval_s=0,
         ) as cluster:
-            client = ServeClient("127.0.0.1", cluster.router_port, timeout=60)
-            assert client.wait_until_up(30)
+            client = ClusterClient(cluster.endpoints, timeout=60)
+            assert all(c.wait_until_up(30) for c in client.clients.values())
             # Map every NF to its shard, pick a victim that serves some.
             owners = {
                 nf: client.synthesize(nf).raise_for_status().shard
@@ -442,8 +444,7 @@ class TestClusterIntegration:
 
             # Every request still answers 200 — the victim's keys spill
             # to the surviving shard; none hang, none are lost.  Two
-            # passes: marking a shard down takes down_after consecutive
-            # transport failures, and the victim may own only one key.
+            # passes: the second runs with the victim in cool-down.
             for _ in range(2):
                 for nf in CLUSTER_NFS[:4]:
                     response = client.synthesize(nf)
@@ -451,10 +452,118 @@ class TestClusterIntegration:
                         f"{nf} failed after shard kill: {response.payload}"
                     )
                     assert response.shard != victim_name
-            snapshot = cluster.router_handle.registry.snapshot()["counters"]
-            assert snapshot.get("serve.cluster.failover", 0) >= 1
-            assert snapshot.get("serve.cluster.shard_down", 0) >= 1
+            assert client.failovers >= 1
             client.close()
+
+
+def _key_owned_by(client, owner, make_body, op="synthesize"):
+    """The first body ``make_body(i)`` whose ring owner is ``owner``."""
+    for i in range(10_000):
+        body = make_body(i)
+        if client.ring.node_for(routing_key(op, body)) == owner:
+            return body
+    raise AssertionError(f"no key found for {owner}")
+
+
+class TestClusterClient:
+    def test_failed_shard_cools_down_then_comes_back_first(
+        self, tmp_path, monkeypatch
+    ):
+        now = [1000.0]
+        monkeypatch.setattr(
+            client_module, "time",
+            type("Clock", (), {"monotonic": staticmethod(lambda: now[0])}),
+        )
+        dead = allocate_ports(1)[0]  # nothing listens here
+        with shard(tmp_path, "live") as (handle, _client):
+            client = ClusterClient(
+                [("127.0.0.1", dead), ("127.0.0.1", handle.port)], timeout=10
+            )
+            live_name, dead_name = (
+                f"127.0.0.1:{handle.port}", f"127.0.0.1:{dead}"
+            )
+            # An unknown NF answers a quick 400 from whichever shard
+            # gets it: the answer, not a reason to fail over.
+            body = _key_owned_by(
+                client, dead_name, lambda i: {"nf": f"no-such-nf-{i}"}
+            )
+            key = routing_key("synthesize", body)
+            assert client.preference(key) == [dead_name, live_name]
+
+            response = client.synthesize(**body)
+            assert response.status == 400 and response.shard == live_name
+            assert client.failovers == 1
+            # Cooling: the dead shard is tried last, so the next request
+            # goes straight to the live one.
+            assert client.preference(key) == [live_name, dead_name]
+            assert client.synthesize(**body).shard == live_name
+            assert client.failovers == 1
+
+            now[0] += SHARD_COOLDOWN_S - 0.01
+            assert client.preference(key)[0] == live_name
+            now[0] += 0.02
+            assert client.preference(key) == [dead_name, live_name]
+            client.close()
+
+    def test_draining_shard_fails_over(self, tmp_path):
+        with shard(tmp_path, "a") as (handle_a, _ca), shard(tmp_path, "b") as (
+            handle_b, _cb
+        ):
+            client = ClusterClient(
+                [("127.0.0.1", handle_a.port), ("127.0.0.1", handle_b.port)],
+                timeout=60,
+            )
+            drained = f"127.0.0.1:{handle_a.port}"
+            from repro.nfs import get_nf
+
+            source = get_nf("monitor").source
+            body = _key_owned_by(
+                client, drained,
+                lambda i: {"source": f"{source}\n# variant {i}\n",
+                           "name": "monitor"},
+            )
+            # Draining is the only state in which a server answers 503:
+            # the request was never admitted, so it is safe elsewhere.
+            handle_a.server.draining = True
+            try:
+                response = client.synthesize(**body)
+            finally:
+                handle_a.server.draining = False
+            assert response.status == 200, response.payload
+            assert response.shard == f"127.0.0.1:{handle_b.port}"
+            assert client.failovers == 1
+            assert handle_a.registry.snapshot()["counters"].get(
+                "serve.draining_rejected"
+            ) == 1
+            client.close()
+
+    def test_all_shards_down_raises(self):
+        ports = allocate_ports(2)  # nothing listens on either
+        client = ClusterClient([("127.0.0.1", port) for port in ports], timeout=5)
+        with pytest.raises(ServeError, match="every shard failed"):
+            client.synthesize("nat")
+        assert client.failovers == 1
+
+    def test_query_shards_prints_the_serving_shard(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+        from repro.nfs import get_nf
+
+        spec = get_nf("nat")  # the CLI sends a corpus NF's source
+        sent = {"source": spec.source, "name": spec.name, "entry": spec.entry}
+        with ClusterHandle(
+            shards=2, workers_per_shard=1, cache_root=str(tmp_path)
+        ) as cluster:
+            shards = ",".join(f"{h}:{p}" for h, p in cluster.endpoints)
+            code = main(["query", "--shards", shards, "synthesize", "nat"])
+            captured = capsys.readouterr()
+            owner = ClusterClient(cluster.endpoints).ring.node_for(
+                routing_key("synthesize", sent)
+            )
+        assert code == 0
+        assert json.loads(captured.out)["result"]["name"] == "nat"
+        assert captured.err.strip() == f"shard: {owner}"
 
 
 # -- satellite: client keep-alive ---------------------------------------------
