@@ -27,16 +27,23 @@ per-packet work is a handful of compiled-function calls:
    default deployed-config model has none.
 
 3. **Guard code shipped as an artifact** — the generated module's code
-   object is marshalled into the artifact store's ``guards`` tier
-   (:func:`compiled_model_cached`), keyed on the model, the Python
-   bytecode magic number and this module's own source.  Every later
-   miss, in any process, loads it instead of generating and
+   object (guards and actions) is marshalled into the artifact store's
+   ``guards`` tier (:func:`compiled_model_cached`), keyed on the model,
+   the Python bytecode magic number and the generators' own source.
+   Every later miss, in any process, loads it instead of generating and
    ``compile()``-ing source again.
 
-4. **Action precompilation** — a :class:`CompiledSimulator` owns one
-   reused ``Interpreter``/``Env`` pair instead of building both per
-   packet, and offers :meth:`CompiledSimulator.process_many` to
-   amortize attribute lookups across a packet vector.
+4. **Action precompilation** — each entry's action is lowered by
+   :mod:`repro.model.actions` into the same generated module as the
+   guards: one function per *distinct* action statement object (loop
+   unrolling shares them across entries), and an entry's action is the
+   tuple of those functions, run in order.  The generated code keeps
+   the interpreter's value semantics; on any error it re-runs the one
+   failing statement in the reference interpreter, so failures raise
+   the same ``NFRuntimeError`` with no partial effect of their own.
+   A statement outside the lowered surface is a compile error, never
+   an interpreter fallback.  :meth:`CompiledSimulator.process_many`
+   runs a packet vector without per-packet attribute lookups.
 
 The contract is byte-identity of *outcome* with ``ModelSimulator``:
 same matched entry ids, same sent packets, same state evolution, and
@@ -58,7 +65,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import cache as artifact_cache
-from repro.interp.interpreter import Env, Interpreter, NFRuntimeError
+from repro.interp.interpreter import NFRuntimeError
+from repro.model import actions as action_gen
 from repro.model.matchaction import CONFIG_NS, NFModel, STATE_NS, TableEntry
 from repro.model.simulator import GuardEvalError, SimStats, _lookup
 from repro.net.packet import PACKET_FIELDS, Packet
@@ -69,10 +77,12 @@ from repro.util.hashing import stable_hash
 #: Artifact kind holding a model's ``(marshal.dumps(code), consts)`` pair.
 GUARDS_KIND = "guards"
 
-#: Digest of this module's source, taken once at import: an edit to the
-#: code generator derives new guard keys, so stale code is never loaded.
+#: Digest of the code generators' source (this module and
+#: :mod:`repro.model.actions`), taken once at import: an edit to either
+#: derives new guard keys, so stale code is never loaded.
 _GENERATOR_DIGEST = hashlib.blake2b(
-    Path(__file__).read_bytes(), digest_size=16
+    Path(__file__).read_bytes() + Path(action_gen.__file__).read_bytes(),
+    digest_size=16,
 ).hexdigest()
 
 
@@ -318,15 +328,20 @@ def _entry_pins(entry: TableEntry) -> Dict[str, int]:
 
 
 class CompiledEntry:
-    """One table entry with its compiled guard."""
+    """One table entry with its compiled guard and action functions."""
 
-    __slots__ = ("entry", "entry_id", "guard", "action_stmts")
+    __slots__ = ("entry", "entry_id", "guard", "actions")
 
-    def __init__(self, entry: TableEntry, guard: Callable[..., bool]) -> None:
+    def __init__(
+        self,
+        entry: TableEntry,
+        guard: Callable[..., bool],
+        actions: Tuple[Callable[..., None], ...],
+    ) -> None:
         self.entry = entry
         self.entry_id = entry.entry_id
         self.guard = guard
-        self.action_stmts = entry.action_stmts
+        self.actions = actions
 
 
 class _Node:
@@ -473,55 +488,78 @@ def compile_model(
     ``dispatch=False`` keeps the flat priority scan (every entry in one
     leaf).  A parametric model's config conjuncts are compiled into the
     guards like any other conjunct, so they are evaluated against the
-    simulator's state at run time.
+    simulator's state at run time.  Entry actions are lowered by
+    :mod:`repro.model.actions` into the same generated module, one
+    function per distinct statement object; a statement outside the
+    lowered surface raises :class:`~repro.model.actions.ActionCompileError`.
 
     ``code`` is a :attr:`CompiledModel.code` pair stored for this very
     model: source generation and ``compile()`` are skipped and the
     unmarshalled module runs in the same helper namespace.  A pair that
     does not fit (bad marshal bytes, wrong shape, a consts pool of the
-    wrong size, missing guards) raises instead of returning a model.
+    wrong size, missing guards or action functions) raises instead of
+    returning a model.
     """
     t0 = time.perf_counter()
     entries = model.all_entries()
     names = [f"_g{i}" for i in range(len(entries))]
+    stmts = action_gen.distinct_statements([e.action_stmts for e in entries])
+    act_names = [f"_a{i}" for i in range(len(stmts))]
     if code is None:
-        # One generated module holding every guard function, headed by
-        # a check that the consts pool it is run with has its size.
+        # One generated module holding every guard and action function,
+        # headed by a check that the consts pool and the statement list
+        # it is run with have its sizes.
         gen = _GuardGen()
         chunks = [
             gen.guard_source(name, entry.guard())
             for name, entry in zip(names, entries)
         ]
+        acts = action_gen.ActionGen(gen.const)
+        chunks.extend(
+            acts.stmt_source(name, i, stmt)
+            for i, (name, stmt) in enumerate(zip(act_names, stmts))
+        )
         consts = tuple(gen.consts)
         header = (
             f"if len(_K) != {len(consts)}:\n"
             f"    raise GuardCodeError('consts pool size')\n"
+            f"if len(_S) != {len(stmts)}:\n"
+            f"    raise GuardCodeError('action statement count')\n"
         )
         source = header + "\n".join(chunks)
         code_obj = compile(source, "<repro.model.compile>", "exec")
     else:
         code_obj, consts = _load_code(code)
-    namespace: Dict[str, Any] = {
-        "GuardEvalError": GuardEvalError,
-        "GuardCodeError": GuardCodeError,
-        "_Raw": _Raw,
-        "_sv": _lookup,
-        "_dv": _dv,
-        "_member": _member,
-        "_hash": _hash,
-        "_nokey": _nokey,
-        "_badop": _badop,
-        "_K": consts,
-    }
+    namespace: Dict[str, Any] = action_gen.namespace()
+    namespace.update(
+        GuardEvalError=GuardEvalError,
+        GuardCodeError=GuardCodeError,
+        _Raw=_Raw,
+        _sv=_lookup,
+        _dv=_dv,
+        _member=_member,
+        _hash=_hash,
+        _nokey=_nokey,
+        _badop=_badop,
+        _K=consts,
+        _S=tuple(stmts),
+    )
     exec(code_obj, namespace)
     guards = [namespace.get(name) for name in names]
-    if f"_g{len(entries)}" in namespace or not all(
-        isinstance(g, types.FunctionType) for g in guards
+    fns = [namespace.get(name) for name in act_names]
+    if (
+        f"_g{len(entries)}" in namespace
+        or f"_a{len(stmts)}" in namespace
+        or not all(isinstance(f, types.FunctionType) for f in guards + fns)
     ):
-        raise GuardCodeError("guard code defines the wrong guard functions")
+        raise GuardCodeError("guard code defines the wrong functions")
+    fn_of = {id(stmt): fn for stmt, fn in zip(stmts, fns)}
 
     compiled: List[CompiledEntry] = [
-        CompiledEntry(entry, guard) for guard, entry in zip(guards, entries)
+        CompiledEntry(
+            entry, guard, tuple(fn_of[id(s)] for s in entry.action_stmts)
+        )
+        for guard, entry in zip(guards, entries)
     ]
     items: List[_Item] = [
         (pos, ce, _entry_pins(ce.entry)) for pos, ce in enumerate(compiled)
@@ -598,7 +636,8 @@ class CompiledSimulator:
     ``state``/``model``/``pkt_param`` — plus :meth:`process_many`.
     ``stats.guard_evals`` counts compiled-guard calls (fewer than the
     interpreter's, by design) and ``stats.compiled_dispatches`` counts
-    dispatch-tree walks.
+    dispatch-tree walks.  Actions run as generated code: no interpreter
+    is involved unless a statement fails.
     """
 
     compiled = True
@@ -610,10 +649,6 @@ class CompiledSimulator:
         self.pkt_param = compiled_model.pkt_param
         self.stats = SimStats()
         self._root = compiled_model._root
-        # One interpreter + env for the simulator's lifetime; per-packet
-        # reset of sent/steps reproduces the fresh-instance semantics.
-        self._interp = Interpreter()
-        self._env = Env(globals=init_state)
 
     def match_entry(self, pkt: Packet) -> Optional[TableEntry]:
         """First entry whose compiled guard holds (priority order)."""
@@ -660,12 +695,9 @@ class CompiledSimulator:
         state = self.state
         stats = self.stats
         root = self._root
-        interp = self._interp
-        env = self._env
-        pkt_param = self.pkt_param
+        apply = self._apply
         matched = stats.matched_entries
-        exec_block = interp.exec_block
-        n = fwd = dde = den = evals = walks = hits = 0
+        n = fwd = dde = den = evals = walks = 0
         try:
             for pkt in packets:
                 n += 1
@@ -685,19 +717,7 @@ class CompiledSimulator:
                     continue
                 eid = hit.entry_id
                 matched[eid] = matched.get(eid, 0) + 1
-                hits += 1
-                interp.sent = []
-                interp.steps = 0
-                state[pkt_param] = pkt.copy()
-                try:
-                    exec_block(hit.action_stmts, env, None)
-                except NFRuntimeError as exc:
-                    raise NFRuntimeError(
-                        f"model action of entry {eid} failed: {exc}"
-                    ) from exc
-                finally:
-                    state.pop(pkt_param, None)
-                sent = interp.sent
+                sent = apply(hit, pkt)
                 if sent:
                     fwd += 1
                 else:
@@ -715,16 +735,16 @@ class CompiledSimulator:
     def _apply(
         self, ce: CompiledEntry, pkt: Packet
     ) -> List[Tuple[Packet, Optional[int]]]:
-        interp = self._interp
-        interp.sent = []
-        interp.steps = 0
-        self.state[self.pkt_param] = pkt.copy()
+        state = self.state
+        sent: List[Tuple[Packet, Optional[int]]] = []
+        state[self.pkt_param] = pkt.copy()
         try:
-            interp.exec_block(ce.action_stmts, self._env, None)
+            for action in ce.actions:
+                action(state, sent)
         except NFRuntimeError as exc:
             raise NFRuntimeError(
                 f"model action of entry {ce.entry_id} failed: {exc}"
             ) from exc
         finally:
-            self.state.pop(self.pkt_param, None)
-        return interp.sent
+            state.pop(self.pkt_param, None)
+        return sent

@@ -109,7 +109,7 @@ class Packet:
 
     def copy(self) -> "Packet":
         """Return an independent copy of this packet."""
-        clone = Packet()
+        clone = object.__new__(Packet)  # every field is set below
         for name in PACKET_FIELDS:
             object.__setattr__(clone, name, getattr(self, name))
         return clone

@@ -10,7 +10,9 @@ The per-phase table groups spans named ``phase.<name>`` (the pipeline
 phases opened by :class:`~repro.nfactor.algorithm.NFactor`); *self*
 time is a span's duration minus its children's, so a phase that mostly
 waits on sub-spans (e.g. ``symbolic`` on ``se.explore``) reads near
-zero self time.
+zero self time.  ``se.explore`` itself is split into two rows: solver
+time, the ``solver.check_seconds`` histogram sum, and engine time, the
+rest of the span.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ __all__ = [
     "render_phase_timings",
     "render_prometheus",
 ]
+
+
+#: The exploration span and the solver-time histogram it is split by.
+EXPLORE_SPAN = "se.explore"
+SOLVER_CHECK_HISTOGRAM = "solver.check_seconds"
 
 
 def _span_aggregates(tracer: Tracer) -> List[Dict[str, Any]]:
@@ -134,17 +141,19 @@ def render_profile(profile: Mapping[str, Any]) -> str:
 
     inner = [s for s in profile.get("spans", []) if not s["name"].startswith(PHASE_PREFIX)]
     if inner:
+        histograms = (profile.get("metrics") or {}).get("histograms") or {}
+        checks = histograms.get(SOLVER_CHECK_HISTOGRAM)
+        rows = []
+        for s in inner:
+            rows.append([s["name"], s["count"], _ms(s["total_s"]), _ms(s["self_s"])])
+            if s["name"] == EXPLORE_SPAN and checks is not None:
+                solver_s = checks["sum"] or 0.0
+                engine_s = max(0.0, s["total_s"] - solver_s)
+                rows.append(["  engine", "", _ms(engine_s), _ms(engine_s)])
+                rows.append(["  solver", checks["count"], _ms(solver_s), _ms(solver_s)])
         out.append("")
         out.append("Spans")
-        out.extend(
-            _table(
-                ["span", "calls", "total ms", "self ms"],
-                [
-                    [s["name"], s["count"], _ms(s["total_s"]), _ms(s["self_s"])]
-                    for s in inner
-                ],
-            )
-        )
+        out.extend(_table(["span", "calls", "total ms", "self ms"], rows))
 
     metrics = profile.get("metrics") or {}
     counters = metrics.get("counters") or {}

@@ -146,7 +146,10 @@ def routing_key(op: str, body: Dict[str, Any]) -> str:
     Mirrors the cache-key material of :mod:`repro.serve.jobs`: two
     requests that would share cached artifacts hash to the same shard.
     Op-independent on purpose — a ``synthesize`` and a ``simulate`` of
-    the same NF share the model tier, so they belong together.
+    the same NF share the model tier, so they belong together.  A corpus
+    name resolves to its source and entry the way the serve jobs resolve
+    it, so ``{"nf": name}`` and the ``{"source", "name", "entry"}`` form
+    of the same corpus NF land on one shard.
     """
     if op == "verify_graph":
         # Route on topology + model bindings: repeated verifications of
@@ -165,15 +168,26 @@ def routing_key(op: str, body: Dict[str, Any]) -> str:
             body.get("chain_b"),
         )
     else:
-        material = (
-            "target",
-            body.get("nf") or body.get("name"),
-            body.get("source"),
-            body.get("entry"),
-        )
+        material = _target_material(body)
     try:
         return stable_fingerprint(material)
     except (TypeError, ValueError):
         # Un-encodable bodies (bad request shapes) still need *a* shard
         # to produce the 400; route on the op name.
         return stable_fingerprint(("op", op))
+
+
+def _target_material(body: Dict[str, Any]) -> Any:
+    """The NF-target part of a routing key (see :func:`routing_key`)."""
+    name = body.get("nf") or body.get("name")
+    source, entry = body.get("source"), body.get("entry")
+    if source is None and isinstance(name, str):
+        from repro.nfs import get_nf
+
+        try:
+            spec = get_nf(name)
+        except KeyError:
+            pass  # not a corpus name: keyed as sent
+        else:
+            name, source, entry = spec.name, spec.source, entry or spec.entry
+    return ("target", name, source, entry)

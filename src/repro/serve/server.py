@@ -66,9 +66,30 @@ def _pool_ready() -> None:
     """No-op pool task (see Server.prepare_pool)."""
 
 
+#: How often a pool worker checks that its server process is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Start a daemon watchdog that ends this worker once its server
+    process ``parent`` is gone (reparenting changes ``os.getppid()``).
+
+    A server killed with SIGKILL runs no shutdown code, so without this
+    its forked pool workers outlive it, parked on the call queue.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watchdog", daemon=True).start()
+
+
 def _worker_warmup(
     peers: Tuple[Tuple[str, int], ...] = (),
     cache_dir: Optional[str] = None,
+    server_pid: Optional[int] = None,
 ) -> None:
     """Pool initializer: pre-import the pipeline in each worker.
 
@@ -81,8 +102,12 @@ def _worker_warmup(
     in-process multi-shard harnesses share): ``cache_dir`` pins this
     shard's private artifact directory, ``peers`` arms the store's
     remote tier so a local miss peer-fills before paying a cold
-    synthesis.
+    synthesis.  ``server_pid`` arms the parent watchdog before the
+    imports, so a server killed while its workers start still takes
+    them along.
     """
+    if server_pid is not None:
+        _exit_with_parent(server_pid)
     import repro.apps.testing  # noqa: F401
     import repro.apps.verify  # noqa: F401
     import repro.equiv.differential  # noqa: F401
@@ -223,7 +248,7 @@ class Server:
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_warmup,
-            initargs=(self.config.peers, self.config.cache_dir),
+            initargs=(self.config.peers, self.config.cache_dir, os.getpid()),
         )
         spawn = getattr(self._pool, "_adjust_process_count", None)
         if spawn is not None:  # eager fork; idle workers park on the queue

@@ -128,6 +128,22 @@ class TestCommands:
         assert "se.explore" in out
         assert "solver.checks" in out
 
+    @pytest.mark.parametrize("name", ["nat", "snortlite"])
+    def test_profile_splits_exploration_into_engine_and_solver(self, capsys, name):
+        code, out = run_cli(capsys, "profile", name)
+        assert code == 0
+        rows = {}
+        for line in out.splitlines():
+            cells = line.split()
+            if cells and cells[0] in ("se.explore", "engine", "solver"):
+                rows.setdefault(cells[0], cells)
+        explore_ms = float(rows["se.explore"][2])
+        engine_ms = float(rows["engine"][1])
+        solver_checks, solver_ms = int(rows["solver"][1]), float(rows["solver"][2])
+        assert solver_checks > 0
+        assert 0.0 < solver_ms <= explore_ms
+        assert engine_ms == pytest.approx(explore_ms - solver_ms, abs=0.02)
+
     def test_trace_flag_writes_valid_jsonl(self, capsys, tmp_path):
         out_path = tmp_path / "trace.jsonl"
         code, _ = run_cli(capsys, "--trace", str(out_path), "synthesize", "monitor")

@@ -21,6 +21,9 @@ import pytest
 
 from tests.conftest import synthesize_cached
 from repro import cache as artifact_cache
+from repro.interp.interpreter import Env, Interpreter, NFRuntimeError
+from repro.lang.parser import parse_function
+from repro.model.actions import ActionCompileError
 from repro.model.compile import (
     GUARDS_KIND,
     CompiledSimulator,
@@ -41,13 +44,13 @@ from repro.symbolic.expr import SApp, SDictVal, SVar, mk_app
 N_FUZZ_PACKETS = 10_000
 
 
-def make_entry(entry_id, config=(), flow=(), state=()):
+def make_entry(entry_id, config=(), flow=(), state=(), actions=()):
     return TableEntry(
         entry_id=entry_id,
         config=list(config),
         match_flow=list(flow),
         match_state=list(state),
-        action_stmts=[],
+        action_stmts=list(actions),
         pkt_action_stmts=[],
         state_action_stmts=[],
         sent=[],
@@ -108,11 +111,19 @@ def _workload(name, n_packets, seed):
 
 
 class TestCorpusDifferentialFuzz:
-    """Compiled vs. interpreted over the whole corpus, ≥10k packets each."""
+    """Compiled vs. interpreted over the whole corpus, deployed-config and
+    parametric models, ≥10k packets each."""
 
     @pytest.mark.parametrize("name", nf_names())
     def test_compiled_matches_interpreted(self, name):
-        result = synthesize_cached(name)
+        self._fuzz(name, parametric=False)
+
+    @pytest.mark.parametrize("name", nf_names())
+    def test_parametric_compiled_matches_interpreted(self, name):
+        self._fuzz(name, parametric=True)
+
+    def _fuzz(self, name, parametric):
+        result = synthesize_cached(name, parametric=parametric)
         packets = _workload(name, N_FUZZ_PACKETS, seed=20_260_808)
 
         interp = _RecordingInterp(
@@ -282,6 +293,214 @@ class TestGuardErrorPaths:
         for sim in (interp, comp):
             assert sim.match_entry(Packet(dport=80)) is entry
             assert sim.match_entry(Packet(dport=9)) is None
+
+
+def _action_body(source):
+    """The IR statements of ``def h(pkt):`` + ``source`` (one per line)."""
+    lines = "".join(f"    {line}\n" for line in source.strip().splitlines())
+    return parse_function(f"def h(pkt):\n{lines}").body
+
+
+def _run_reference(stmts, state):
+    """``(exception, state, sent)`` of ``stmts`` run as one action by
+    the reference interpreter."""
+    interp = Interpreter()
+    state = copy.deepcopy(state)
+    try:
+        interp.exec_block(stmts, Env(globals=state), None)
+    except Exception as err:  # any error: the caller compares them
+        return err, state, interp.sent
+    return None, state, interp.sent
+
+
+def _run_compiled(stmts, state):
+    """The same triple from the compiled action functions."""
+    ce = compile_model(make_model(make_entry(1, actions=stmts)))._entries[0]
+    state, sent = copy.deepcopy(state), []
+    try:
+        for action in ce.actions:
+            action(state, sent)
+    except Exception as err:  # any error: the caller compares them
+        return err, state, sent
+    return None, state, sent
+
+
+def _run_actions_both(stmts, state):
+    return _run_reference(stmts, state), _run_compiled(stmts, state)
+
+
+def _same_outcome(ref, comp):
+    (ref_exc, ref_state, ref_sent), (c_exc, c_state, c_sent) = ref, comp
+    assert type(ref_exc) is type(c_exc)
+    assert str(ref_exc) == str(c_exc)
+    assert getattr(ref_exc, "line", None) == getattr(c_exc, "line", None)
+    assert ref_state == c_state
+    assert ref_sent == c_sent
+
+
+def _no_interpreter(*_args, **_kwargs):
+    raise AssertionError("interpreter ran on the compiled path")
+
+
+#: (failing action statement, state) per lowered statement kind.
+_ACTION_FAILURES = {
+    "undefined-name": ("x = nope + 1", {}),
+    "missing-key-read": ("x = tbl[5]", {"tbl": {1: 2}}),
+    "missing-key-del": ("del tbl[5]", {"tbl": {1: 2}}),
+    "bad-subscript-store": ("lst[10] = 1", {"lst": [0, 1]}),
+    "unhashable-key-store": ("tbl[[1]] = 1", {"tbl": {}}),
+    "tuple-unpack-length": ("a, b = (1, 2, 3)", {}),
+    "tuple-unpack-non-sequence": ("a, b = 7", {}),
+    "packet-setattr": ("pkt.dport = 70000", {}),
+    "packet-setattr-type": ("pkt.dport = 'x'", {}),
+    "aug-incompatible": ("x += 'no'", {"x": 1}),
+    "aug-subscript-missing": ("tbl[9] += 1", {"tbl": {}}),
+    "len-of-int": ("y = len(x)", {"x": 5}),
+    "method-failure": ("y = q.pop()", {"q": []}),
+    "send-undefined": ("send_packet(nope)", {}),
+}
+
+
+class TestActionErrorPaths:
+    """A failing compiled action raises what the interpreter raises, with
+    the same partial effects (none beyond the interpreter's own)."""
+
+    @pytest.mark.parametrize("kind", sorted(_ACTION_FAILURES))
+    def test_statement_level_identity(self, kind):
+        failing, state = _ACTION_FAILURES[kind]
+        stmts = _action_body(f"send_packet(pkt)\nz = 1\n{failing}\nw = 2")
+        state = dict(state, pkt=Packet(dport=80))
+        ref, comp = _run_actions_both(stmts, state)
+        assert ref[0] is not None
+        _same_outcome(ref, comp)
+        assert "w" not in comp[1] and comp[1]["z"] == 1
+
+    @pytest.mark.parametrize("kind", sorted(_ACTION_FAILURES))
+    def test_simulator_level_identity(self, kind):
+        failing, state = _ACTION_FAILURES[kind]
+        stmts = _action_body(f"send_packet(pkt)\nz = 1\n{failing}\nw = 2")
+        model = make_model(make_entry(7, actions=stmts))
+        interp, comp = _both_sims(model, state)
+        errors = []
+        for sim in (interp, comp):
+            with pytest.raises(Exception) as info:
+                sim.process(Packet(dport=80))
+            errors.append(info.value)
+        ref_exc, c_exc = errors
+        assert type(ref_exc) is type(c_exc)
+        assert str(ref_exc) == str(c_exc)
+        if isinstance(ref_exc, NFRuntimeError):
+            assert str(c_exc).startswith("model action of entry 7 failed: ")
+        assert interp.state == comp.state
+        assert "pkt" not in comp.state
+        assert _outcome_stats(interp.stats) == _outcome_stats(comp.stats)
+
+    def test_statement_outside_the_surface_is_a_compile_error(self):
+        for source in (
+            "if pkt.dport == 80:\n    x = 1",
+            "return",
+            "pass",
+            "x = recv_packet()",
+            "x = helper(pkt)",
+            "x = 1 + q.pop()",
+            "a, b = q.pop()",
+            "x = tbl[1] = q.pop()",
+            "x = 1\nx, tbl[x] = (2, 3)",
+        ):
+            stmts = _action_body(source)
+            with pytest.raises(ActionCompileError):
+                compile_model(make_model(make_entry(1, actions=stmts)))
+
+
+class TestActionLowering:
+    """Generated actions compute the interpreter's values on the
+    success path, statement by statement."""
+
+    SOURCE = """
+key = (pkt.ip_src, pkt.sport)
+tbl[key] = [pkt.dport, 0]
+cnt[key] = 1
+cnt[key] += 5
+n = len(tbl) + hash(key) % 7 + cnt[key]
+pkt.ttl -= 1
+pkt.dport = tbl[key][0] if n > 3 else 9
+a, (b, c) = (1, (2, 3))
+d = {a: b, 'k': [c, -c, ~c, +c]}
+e = (a and 0) or (b and 'x') or c
+f = not e
+g = a in d and 'k' in d and 5 not in d and a is not None
+h = q.pop(0)
+q.append(h * 3)
+q.insert(0, 4)
+q.remove(4)
+i = d.get(9, 'dflt')
+j = sorted(d.keys()) if False else list(range(3))
+k = xs + [1]
+xs += [2]
+del tbl[key]
+lst.clear()
+x = y = pkt.sport // 3 ** 2
+send_packet(pkt, h)
+send_packet(pkt)
+pkt.ttl = 3
+"""
+
+    def test_success_path_identity(self, monkeypatch):
+        stmts = _action_body(self.SOURCE)
+        xs = [0]
+        state = {
+            "pkt": Packet(ip_src=3, sport=99, dport=80, ttl=9),
+            "tbl": {},
+            "cnt": {},
+            "q": [10, 20],
+            "xs": xs,
+            "ys": xs,
+            "lst": [1, 2],
+        }
+        ref = _run_reference(stmts, state)
+        assert ref[0] is None, ref[0]
+        # The success path never falls back on the interpreter.
+        monkeypatch.setattr(Interpreter, "exec_stmt", _no_interpreter)
+        comp = _run_compiled(stmts, state)
+        _same_outcome(ref, comp)
+        # ``xs += [2]`` rebinds (never extends in place), so the alias
+        # ``ys`` keeps the old list in both runs; a sent packet is a
+        # copy, untouched by the later ``pkt.ttl = 3``.
+        assert comp[1]["ys"] == [0] and comp[1]["xs"] == [0, 2]
+        assert [out.ttl for out, _port in comp[2]] == [8, 8]
+
+    def test_shared_statements_compile_once(self):
+        stmts = _action_body("x = 1\ny = x + 1\nsend_packet(pkt)")
+        model = make_model(
+            make_entry(1, actions=stmts),
+            make_entry(2, actions=stmts[1:] + stmts),
+        )
+        cm = compile_model(model)
+        first, second = cm._entries
+        assert len(first.actions) == 3 and len(second.actions) == 5
+        assert set(first.actions) == set(second.actions)
+        assert second.actions[:2] == first.actions[1:]
+
+    def test_no_interpreter_on_the_compiled_path(self, monkeypatch):
+        """Every corpus NF simulates through the compiled actions with
+        the interpreter disabled, and agrees with the reference run."""
+        for name in nf_names():
+            result = synthesize_cached(name)
+            packets = _workload(name, 500, seed=11)
+            ref = ModelSimulator(
+                result.model,
+                copy.deepcopy(result.module_env),
+                pkt_param=result.pkt_param,
+            )
+            want = [ref.process(pkt.copy()) for pkt in packets]
+            cm = compile_model(result.model, pkt_param=result.pkt_param)
+            with monkeypatch.context() as patch:
+                patch.setattr(Interpreter, "exec_stmt", _no_interpreter)
+                patch.setattr(Interpreter, "eval_expr", _no_interpreter)
+                sim = cm.simulator(copy.deepcopy(result.module_env))
+                got = sim.process_many([pkt.copy() for pkt in packets])
+            assert got == want, name
+            assert sim.state == ref.state, name
 
 
 class TestConfigFolding:
@@ -537,6 +756,36 @@ class TestGuardCodeTier:
         assert _simulate_as_new_worker() == good
         assert _compiles(serve_worker) == 2
         assert serve_worker.counter("sim.guard_loads").value == 1
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_action_count_is_a_logged_miss(self, serve_worker, caplog, delta):
+        good = _simulate_as_new_worker()
+        key, (model, _env, pkt_param) = serve_jobs._sim_bundle(_SIM_BODY)
+        # Code for the same entries with one action statement more or
+        # fewer: same guards, same consts, a different action count.
+        other = copy.deepcopy(model)
+        entries = other.all_entries()
+        if delta > 0:
+            entries[0].action_stmts.append(_action_body("spare = 1")[0])
+        else:
+            victim = entries[0].action_stmts[-1]
+            for entry in entries:
+                entry.action_stmts = [
+                    s for s in entry.action_stmts if s is not victim
+                ]
+        bad = compile_model(other, pkt_param=pkt_param).code
+        store = artifact_cache.get_store()
+        assert len(bad[1]) == len(store.get_object(GUARDS_KIND, guard_key(key))[1])
+        store.put_object(GUARDS_KIND, guard_key(key), bad)
+        misses = store.counters.get("kind.guards.misses", 0)
+        with caplog.at_level(logging.WARNING, logger="repro.cache"):
+            assert _simulate_as_new_worker() == good
+        assert store.counters["kind.guards.misses"] == misses + 1
+        assert _compiles(serve_worker) == 2
+        assert serve_worker.counter("sim.guard_loads").value == 0
+        assert [
+            r for r in caplog.records if "failed to load" in r.getMessage()
+        ], caplog.text
 
     def test_other_python_version_never_loads(self, serve_worker, monkeypatch):
         good = _simulate_as_new_worker()

@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import asyncio
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +37,9 @@ from repro.serve import (
     Server,
     ServerHandle,
 )
+import repro
 from repro.serve import protocol
+from repro.serve.cluster import allocate_ports
 from repro.serve.queue import Job
 
 
@@ -306,3 +312,62 @@ class TestServerLifecycle:
                 # Each client got exactly its own packet batch back.
                 assert len(result["outputs"]) == i + 1
                 assert result["stats"]["packets"] == i + 1
+
+
+# -- orphaned pool workers ------------------------------------------------------
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (Linux ``/proc``)."""
+    out = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            out.append(int(stat.parent.name))
+    return out
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkilled_server_takes_its_pool_workers_along():
+    port = allocate_ports(1)[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", str(port),
+         "--workers", "2"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        client = ServeClient("127.0.0.1", port)
+        try:
+            assert client.wait_until_up(30)
+        finally:
+            client.close()
+        assert _poll(lambda: len(_children(server.pid)) >= 2, timeout=10)
+        workers = _children(server.pid)
+        server.send_signal(signal.SIGKILL)
+        server.wait(timeout=10)
+        assert _poll(
+            lambda: not any(_running(pid) for pid in workers), timeout=2.0
+        ), [pid for pid in workers if _running(pid)]
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -29,6 +29,7 @@ import pytest
 
 from repro.cache.keys import artifact_key
 from repro.cache.store import ArtifactStore, parse_peers
+from repro.nfs import get_nf, nf_names
 from repro.serve import ClusterClient, ServeClient, ServeConfig, ServerHandle
 from repro.serve import client as client_module
 from repro.serve.client import SHARD_COOLDOWN_S, ServeError
@@ -108,6 +109,29 @@ class TestRoutingKey:
 
     def test_unroutable_body_still_gets_a_key(self):
         assert routing_key("synthesize", {"source": object()})
+
+    @pytest.mark.parametrize("name", nf_names())
+    def test_corpus_name_and_source_forms_share_a_shard(self, name):
+        # `repro query` sends a corpus NF as {"source", "name", "entry"};
+        # other clients send {"nf": name}.  Both must hit one cache.
+        spec = get_nf(name)
+        by_name = routing_key("simulate", {"nf": name, "packets": [{}]})
+        by_source = routing_key(
+            "synthesize",
+            {"source": spec.source, "name": spec.name, "entry": spec.entry},
+        )
+        assert by_name == by_source
+        ring = HashRing(["127.0.0.1:8401", "127.0.0.1:8402"])
+        assert ring.node_for(by_name) == ring.node_for(by_source)
+
+    def test_non_corpus_names_key_as_sent(self):
+        body = {"name": "nat-fork", "source": "def h(pkt): pass"}
+        assert routing_key("synthesize", body) != routing_key(
+            "synthesize", {"nf": "nat"}
+        )
+        assert routing_key("synthesize", {"nf": "nosuchnf"}) != routing_key(
+            "synthesize", {"nf": "nosuchnf", "entry": "h"}
+        )
 
 
 # -- satellite: Retry-After jitter -------------------------------------------
