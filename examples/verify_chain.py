@@ -6,15 +6,23 @@
    of the deployed configuration, then on the parametric model to show
    that the property depends on the configuration.
 2. **Header-space reachability** through a firewall → load-balancer
-   chain, with the LB's rewrite visible in the output space.
+   chain, verified as a path graph, with the verdict's status and the
+   LB's rewrite visible in the output space.
 3. **Service policy composition** — the paper's {FW, IDS} + {LB}
    example, recovering the {FW, IDS, LB} order.
 
-Run:  python examples/verify_chain.py
+Run:  python examples/verify_chain.py [--no-cache]
+
+``--no-cache`` keeps the artifact store off, so the run neither reads
+nor writes edge summaries.
 """
 
+import argparse
+
+from repro import cache as artifact_cache
 from repro.apps.compose import compose_chains
-from repro.apps.verify import HeaderSpace, NetworkVerifier, find_forwarding_witness
+from repro.apps.verify import find_forwarding_witness
+from repro.netverify import GraphVerifier, path_graph
 from repro.nfactor.algorithm import NFactorConfig, synthesize_model
 from repro.nfs import get_nf
 from repro.symbolic.expr import SVar, mk_app
@@ -25,6 +33,13 @@ IN_PORT = SVar("pkt.in_port", 0, 255)
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--no-cache", action="store_true", help="keep the artifact store off"
+    )
+    if parser.parse_args().no_cache:
+        artifact_cache.configure(enabled=False)
+
     print("synthesizing firewall, IDS and load-balancer models ...")
     fw = synthesize_model(get_nf("firewall").source, name="firewall")
     lb = synthesize_model(get_nf("loadbalancer").source, name="loadbalancer")
@@ -63,9 +78,9 @@ def main() -> None:
     print("=" * 72)
     print("2. Reachability through firewall -> load balancer")
     print("=" * 72)
-    verifier = NetworkVerifier([("fw", fw.model), ("lb", lb.model)])
-    out_spaces = verifier.reachable(HeaderSpace.universe())
-    print(f"   {len(out_spaces)} end-to-end forwarding behaviours")
+    verdict = GraphVerifier(path_graph([("fw", fw.model), ("lb", lb.model)])).verify()
+    out_spaces = verdict.reachable["lb#1"]
+    print(f"   {verdict.status}: {len(out_spaces)} end-to-end forwarding behaviours")
     for s in out_spaces[:4]:
         hops = " -> ".join(f"{nf}#{eid}" for nf, eid in s.trace)
         print(f"   via {hops}: ip_src becomes {s.fields['ip_src']!r}")

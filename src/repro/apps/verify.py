@@ -3,10 +3,11 @@
 Two verification styles from the paper:
 
 1. **Extending stateless verification** — each model entry is a network
-   transfer function ``T(h, p, s)``: :class:`NetworkVerifier` pushes
-   symbolic header spaces through a chain of models, with state
-   predicates (dict-membership atoms) carried as free decision
-   variables, HSA-style but stateful.
+   transfer function ``T(h, p, s)``: :func:`push_space` pushes one
+   symbolic header space through one model, with state predicates
+   (dict-membership atoms) carried as free decision variables,
+   HSA-style but stateful.  :mod:`repro.netverify` runs it over service
+   graphs, of which a chain is the path-shaped case.
 
 2. **Model checking speedup** — checking a property against the model
    costs one solver call per table entry, versus re-running symbolic
@@ -65,12 +66,15 @@ class HeaderSpace:
     ``fields`` gives each header field as a symbolic expression over
     the chain-input packet variables; ``constraints`` restricts the
     input space (and records state assumptions made along the way).
-    ``trace`` lists the (nf, entry_id) hops taken.
+    ``trace`` lists the (nf, entry_id) hops taken.  ``decided`` is
+    false once any guard check on the trace answered ``unknown``: the
+    space may then be empty.
     """
 
     fields: Dict[str, Any]
     constraints: List[Any] = field(default_factory=list)
     trace: List[Tuple[str, int]] = field(default_factory=list)
+    decided: bool = True
 
     @classmethod
     def universe(cls) -> "HeaderSpace":
@@ -90,6 +94,7 @@ class HeaderSpace:
             fields=dict(self.fields),
             constraints=list(self.constraints) + list(constraints),
             trace=list(self.trace),
+            decided=self.decided,
         )
 
 
@@ -98,14 +103,14 @@ def push_space(
 ) -> List[HeaderSpace]:
     """All output spaces one model produces from ``space``.
 
-    The per-edge transfer function shared by the linear
-    :class:`NetworkVerifier` and the DAG :class:`repro.netverify`
-    verifier (which memoizes its results per ``(model, space)`` pair):
-    every entry whose guard is feasible against the input space yields
-    one output space with the entry's rewrites applied and the guard
-    recorded as extra input/state constraints.  ``ns`` namespaces the
-    model's state leaves so the same NF at two points in the network
-    keeps distinct state.
+    The per-edge transfer function of :mod:`repro.netverify` (which
+    memoizes its results per ``(model, space)`` pair): every entry
+    whose guard is feasible against the input space yields one output
+    space with the entry's rewrites applied and the guard recorded as
+    extra input/state constraints.  An output is ``decided`` when its
+    input is and its guard check did not answer ``unknown``.  ``ns``
+    namespaces the model's state leaves so the same NF at two points
+    in the network keeps distinct state.
 
     The input space is absorbed into one solver context once; each
     entry's guard is checked on a copy of it, which gives the same
@@ -117,7 +122,8 @@ def push_space(
     solver.absorb_into(base, space.constraints)
     for entry in model.all_entries():
         guard = [subst_fields(c, space.fields, ns) for c in entry.guard()]
-        if not solver.check_assuming(base, guard).feasible:
+        result = solver.check_assuming(base, guard)
+        if not result.feasible:
             continue
         if entry.drops:
             continue
@@ -129,40 +135,10 @@ def push_space(
                 fields=rewritten,
                 constraints=space.constraints + guard,
                 trace=space.trace + [(model.name, entry.entry_id)],
+                decided=space.decided and result.status != "unknown",
             )
         )
     return out
-
-
-class NetworkVerifier:
-    """Pushes header spaces through a chain of synthesized models."""
-
-    def __init__(self, chain: Sequence[Tuple[str, NFModel]], solver: Optional[Solver] = None) -> None:
-        self.chain = list(chain)
-        self.solver = solver or Solver()
-
-    def step(
-        self, model: NFModel, space: HeaderSpace, ns: str
-    ) -> List[HeaderSpace]:
-        """All output spaces one model produces from ``space``."""
-        return push_space(model, space, ns, self.solver)
-
-    def reachable(self, space: Optional[HeaderSpace] = None) -> List[HeaderSpace]:
-        """Spaces that traverse the whole chain (none ⇒ chain blackholes)."""
-        spaces = [space or HeaderSpace.universe()]
-        for hop, (name, model) in enumerate(self.chain):
-            nxt: List[HeaderSpace] = []
-            ns = f"{name}#{hop}."
-            for s in spaces:
-                nxt.extend(self.step(model, s, ns))
-            spaces = nxt
-            if not spaces:
-                break
-        return spaces
-
-    def can_reach(self, space: Optional[HeaderSpace] = None) -> bool:
-        """True when at least one packet can traverse the chain."""
-        return bool(self.reachable(space))
 
 
 def initial_state_constraints(result: SynthesisResult) -> List[Any]:

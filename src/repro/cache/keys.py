@@ -36,7 +36,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #:    parametric models and solver answers over them changed meaning.
 #: 6: the solver draws free ``member`` atoms and accepts only functionally
 #:    consistent witnesses, so persisted answers for existing keys changed.
-SCHEMA_VERSION = 6
+#: 7: the solver refutes nested ``not(and(and ..) ..)`` shapes it left
+#:    ``unknown``, so a cached model may hold a path that is now pruned.
+SCHEMA_VERSION = 7
 
 
 def _encode(value: Any, out: bytearray) -> None:

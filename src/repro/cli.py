@@ -425,33 +425,40 @@ def _chain_models_local(names: list) -> list:
     return chain
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    """Local chain verification (no server needed)."""
+def _run_verify(
+    graph, as_json: bool, jobs: int = 1, max_traces: int = 10, chain=None
+) -> int:
+    """Verify ``graph`` locally, print the verdict, return its exit code."""
     import json
 
-    from repro.apps.verify import NetworkVerifier
+    from repro.netverify import GraphVerifier, GraphVerifyConfig, verdict_payload
+    from repro.netverify.verify import EXIT_CODES
 
-    chain = _chain_models_local(list(args.nfs))
-    verifier = NetworkVerifier(chain)
-    spaces = verifier.reachable()
-    payload = {
-        "chain": [name for name, _ in chain],
-        "can_reach": bool(spaces),
-        "n_spaces": len(spaces),
-        "traces": [
-            [[name, entry_id] for name, entry_id in space.trace]
-            for space in spaces[: args.max_traces]
-        ],
-    }
-    if args.json:
+    config = GraphVerifyConfig(use_cache=artifact_cache.is_enabled(), jobs=jobs)
+    try:
+        verdict = GraphVerifier(graph, config=config).verify()
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    payload = verdict_payload(verdict, graph, max_traces=max_traces, chain=chain)
+    if as_json:
         print(json.dumps(payload, indent=2))
-        return 0
-    arrow = " -> ".join(payload["chain"])
-    verdict = "reachable" if payload["can_reach"] else "BLACKHOLED"
-    print(f"{arrow}: {verdict} ({payload['n_spaces']} space(s))")
+        return EXIT_CODES[verdict.status]
+    print(" -> ".join(chain) if chain else graph.summary())
+    print(verdict.summary())
     for trace in payload["traces"]:
         print("  " + " -> ".join(f"{nf}#{entry}" for nf, entry in trace))
-    return 0 if payload["can_reach"] else 1
+    return EXIT_CODES[verdict.status]
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    """Local chain verification (no server needed): a path graph."""
+    from repro.netverify import path_graph
+
+    chain = _chain_models_local(list(args.nfs))
+    return _run_verify(
+        path_graph(chain), args.json, max_traces=args.max_traces,
+        chain=[name for name, _ in chain],
+    )
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
@@ -498,14 +505,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_verify_graph(args: argparse.Namespace) -> int:
     """Verify a DAG service graph locally (edge-summary cached)."""
-    import json
-
-    from repro.netverify import (
-        GraphVerifier,
-        GraphVerifyConfig,
-        build_graph,
-        generate_graph,
-    )
+    from repro.netverify import build_graph, generate_graph
 
     if args.generate:
         graph = generate_graph(args.generate, seed=args.seed, width=args.width)
@@ -530,28 +530,7 @@ def cmd_verify_graph(args: argparse.Namespace) -> int:
             graph = build_graph(nodes, edges)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-
-    config = GraphVerifyConfig(
-        use_cache=artifact_cache.is_enabled(), jobs=args.jobs
-    )
-    try:
-        verdict = GraphVerifier(graph, config=config).verify()
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    stats = verdict.stats
-    if args.json:
-        payload = json.loads(verdict.to_json())
-        payload["stats"] = stats.as_dict()
-        print(json.dumps(payload, indent=2))
-        return 0 if verdict.can_reach else 1
-    print(graph.summary())
-    print(verdict.summary())
-    for witness in verdict.witnesses[:3]:
-        path = " -> ".join(f"{nf}#{e}" for nf, e in witness["trace"])
-        print(f"  witness @ {witness['sink']}: {path}")
-    if stats.truncated_spaces:
-        print(f"  (truncated {stats.truncated_spaces} fan-in space(s))")
-    return 0 if verdict.can_reach else 1
+    return _run_verify(graph, args.json, jobs=args.jobs)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -1047,7 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        help="verify a linear NF chain locally (no server needed)",
+        help="verify a linear NF chain locally as a path graph "
+        "(exit 0 reaches, 1 blackholed, 3 may-reach, 4 incomplete)",
     )
     p.add_argument(
         "nfs", nargs="+",
@@ -1068,7 +1048,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-graph",
-        help="verify a DAG service graph (per-edge summary cache)",
+        help="verify a DAG service graph (per-edge summary cache; "
+        "exit codes as for verify)",
     )
     p.add_argument(
         "--node", action="append", metavar="NAME=NF",

@@ -225,6 +225,21 @@ def build_graph(
     return graph
 
 
+def path_graph(chain: Sequence[Tuple[str, NFModel]]) -> ServiceGraph:
+    """A chain ``[(name, model), ...]`` as a path graph.
+
+    Node ``hop`` is named ``f"{name}#{hop}"``, so each hop keeps its own
+    state namespace even when one NF appears twice in the chain.
+    """
+    graph = ServiceGraph()
+    names = [f"{name}#{hop}" for hop, (name, _model) in enumerate(chain)]
+    for node, (_name, model) in zip(names, chain):
+        graph.add_node(node, model)
+    for src, dst in zip(names, names[1:]):
+        graph.add_edge(src, dst)
+    return graph
+
+
 def generate_graph(
     n_nodes: int,
     seed: int = 7,

@@ -47,7 +47,12 @@ from repro.symbolic.expr import canon
 from repro.symbolic.solver import Solver
 
 #: Bump to invalidate every persisted edge summary (layout changes).
-EDGE_SUMMARY_VERSION = 1
+#: 2: each output carries its guard check's decided flag.
+EDGE_SUMMARY_VERSION = 2
+
+#: ``repro verify`` / ``repro verify-graph`` exit status per verdict
+#: status (2 stays argparse's usage error).
+EXIT_CODES = {"reaches": 0, "blackholed": 1, "may-reach": 3, "incomplete": 4}
 
 
 def space_fingerprint(space: HeaderSpace) -> str:
@@ -57,9 +62,9 @@ def space_fingerprint(space: HeaderSpace) -> str:
     — the solver absorbs them in sequence and derives its witness
     samples from the ordered canon tuple, so two spaces with permuted
     constraints are distinct cache keys (identical results would not be
-    guaranteed byte-for-byte).  The trace is deliberately excluded: it
-    does not influence the transfer function (summaries store trace
-    *deltas* and the caller re-prefixes the input trace).
+    guaranteed byte-for-byte).  The trace and the decided flag are
+    deliberately excluded: neither influences the transfer function
+    (:meth:`EdgeSummary.apply` re-applies the input's own).
     """
     return stable_fingerprint(
         (
@@ -81,14 +86,15 @@ def edge_key(model_key: str, ns: str, space: HeaderSpace) -> str:
 class EdgeSummary:
     """Memoized outputs of one edge task.
 
-    ``outputs`` holds ``(fields, constraints, trace_delta)`` triples —
-    the full symbolic output spaces, with only the trace stored as a
-    delta relative to the input (two inputs identical up to trace share
-    one summary).  Everything inside is plain symbolic trees, so the
-    summary pickles into the store like any other artifact.
+    ``outputs`` holds ``(fields, constraints, trace_delta, decided)``
+    tuples — the full symbolic output spaces, with the trace stored as a
+    delta relative to the input and ``decided`` as the guard check's own
+    flag (two inputs identical up to trace and flag share one summary).
+    Everything inside is plain symbolic trees, so the summary pickles
+    into the store like any other artifact.
     """
 
-    outputs: List[Tuple[Dict[str, Any], List[Any], List[Tuple[str, int]]]]
+    outputs: List[Tuple[Dict[str, Any], List[Any], List[Tuple[str, int]], bool]]
 
     def apply(self, space: HeaderSpace) -> List[HeaderSpace]:
         """Materialize output spaces downstream of ``space``."""
@@ -97,8 +103,9 @@ class EdgeSummary:
                 fields=dict(fields),
                 constraints=list(constraints),
                 trace=space.trace + [tuple(t) for t in delta],
+                decided=space.decided and decided,
             )
-            for fields, constraints, delta in self.outputs
+            for fields, constraints, delta, decided in self.outputs
         ]
 
 
@@ -106,12 +113,13 @@ def compute_edge_summary(
     model: Any, ns: str, space: HeaderSpace, solver: Solver
 ) -> EdgeSummary:
     """Run the transfer function for one edge task (the cache filler)."""
-    outputs = push_space(model, space, ns, solver)
-    base = len(space.trace)
+    # Pushed with an empty trace and a decided flag, so the outputs
+    # carry exactly this edge's trace delta and guard-check flags.
+    probe = HeaderSpace(fields=space.fields, constraints=space.constraints)
     return EdgeSummary(
         outputs=[
-            (out.fields, out.constraints, [tuple(t) for t in out.trace[base:]])
-            for out in outputs
+            (out.fields, out.constraints, out.trace, out.decided)
+            for out in push_space(model, probe, ns, solver)
         ]
     )
 
@@ -122,8 +130,9 @@ class GraphVerifyConfig:
 
     Everything here is perf-only except ``max_spaces_per_node``, which
     caps the header-space fan-in a node will push (deterministic
-    truncation of the arrival-ordered list; truncations are counted in
-    :attr:`VerifyStats.truncated_spaces`).  The cap is applied when a
+    truncation of the arrival-ordered list; any truncation makes the
+    verdict ``incomplete``, with per-node counts in
+    :attr:`VerifyStats.node_truncated`).  The cap is applied when a
     node *gathers* its inputs, so it is not part of the edge key.
     """
 
@@ -144,7 +153,7 @@ class GraphVerifyConfig:
 
 @dataclass
 class VerifyStats:
-    """What one run did (not part of the canonical verdict bytes)."""
+    """What one run did (only :attr:`node_truncated` is in the verdict bytes)."""
 
     edges: int = 0
     cache_hits: int = 0
@@ -152,8 +161,10 @@ class VerifyStats:
     #: Edge tasks actually recomputed (== misses when the cache is on;
     #: every edge when it is off).
     dirty_edges: int = 0
-    spaces_total: int = 0
     truncated_spaces: int = 0
+    #: Input spaces dropped per node by ``max_spaces_per_node``.  A
+    #: function of graph and models alone, so it is part of the verdict.
+    node_truncated: Dict[str, int] = field(default_factory=dict)
     #: Solver ``unknown`` answers in the edge tasks this run computed
     #: and in witness extraction (cache hits run no solver).
     solver_unknowns: int = 0
@@ -162,18 +173,6 @@ class VerifyStats:
     node_hits: Dict[str, int] = field(default_factory=dict)
     node_dirty: Dict[str, int] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "edges": self.edges,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "dirty_edges": self.dirty_edges,
-            "spaces_total": self.spaces_total,
-            "truncated_spaces": self.truncated_spaces,
-            "solver_unknowns": self.solver_unknowns,
-            "elapsed_s": self.elapsed_s,
-        }
-
 
 def _space_payload(space: HeaderSpace) -> Dict[str, Any]:
     """The canonical JSON view of one header space (verdict bytes)."""
@@ -181,6 +180,7 @@ def _space_payload(space: HeaderSpace) -> Dict[str, Any]:
         "fields": {k: canon(v) for k, v in sorted(space.fields.items())},
         "constraints": [canon(c) for c in space.constraints],
         "trace": [[nf, entry_id] for nf, entry_id in space.trace],
+        "decided": space.decided,
     }
 
 
@@ -190,12 +190,12 @@ class GraphVerdict:
 
     :meth:`to_json` is the canonical serialization the byte-identity
     guarantees are stated over: it covers the graph fingerprint, the
-    reachable spaces per sink and the witnesses — and excludes
-    :attr:`stats`, which legitimately varies across cache states.
+    status, the per-node truncation counts, the reachable spaces per
+    sink and the witnesses — and excludes the rest of :attr:`stats`,
+    which legitimately varies across cache states.
     """
 
     graph_fingerprint: str
-    can_reach: bool
     #: Reachable spaces per sink node name (sorted sink order).
     reachable: Dict[str, List[HeaderSpace]]
     #: Concrete witness assignments, one per reaching space (capped).
@@ -206,9 +206,33 @@ class GraphVerdict:
     def n_spaces(self) -> int:
         return sum(len(spaces) for spaces in self.reachable.values())
 
+    @property
+    def can_reach(self) -> bool:
+        return any(self.reachable.values())
+
+    @property
+    def complete(self) -> bool:
+        return not self.stats.node_truncated
+
+    @property
+    def status(self) -> str:
+        """``incomplete`` (some node dropped spaces at its cap, so nothing
+        is proven), else ``reaches`` (a decided space reaches a sink),
+        ``may-reach`` (only spaces resting on a solver ``unknown`` do)
+        or ``blackholed``."""
+        if not self.complete:
+            return "incomplete"
+        spaces = [s for ss in self.reachable.values() for s in ss]
+        if any(s.decided for s in spaces):
+            return "reaches"
+        return "may-reach" if spaces else "blackholed"
+
     def to_json(self) -> str:
         payload = {
             "graph": self.graph_fingerprint,
+            "status": self.status,
+            "complete": self.complete,
+            "truncated": dict(sorted(self.stats.node_truncated.items())),
             "can_reach": self.can_reach,
             "n_spaces": self.n_spaces,
             "sinks": {
@@ -231,14 +255,26 @@ class GraphVerdict:
 
     def summary(self) -> str:
         s = self.stats
-        return (
-            f"graph {self.graph_fingerprint[:12]}: "
-            f"{'reachable' if self.can_reach else 'BLACKHOLED'} "
+        lines = [
+            f"graph {self.graph_fingerprint[:12]}: {self.status} "
             f"({self.n_spaces} space(s) across {len(self.reachable)} sink(s)); "
             f"{s.edges} edges, {s.cache_hits} cache hits, "
             f"{s.dirty_edges} recomputed, {s.solver_unknowns} solver unknown(s), "
             f"{s.elapsed_s * 1000:.1f} ms"
+        ]
+        if s.node_truncated:
+            dropped = ", ".join(
+                f"{node} {n}" for node, n in sorted(s.node_truncated.items())
+            )
+            lines.append(
+                f"  incomplete: {s.truncated_spaces} input space(s) dropped "
+                f"at the per-node cap ({dropped})"
+            )
+        lines.append(
+            "  state leaves are free: a reaching space holds for some NF "
+            "state, not every one"
         )
+        return "\n".join(lines)
 
 
 class GraphVerifier:
@@ -293,10 +329,10 @@ class GraphVerifier:
             for name in level:
                 node = self.graph.nodes[name]
                 inputs = inbox[name]
-                if len(inputs) > config.max_spaces_per_node:
-                    stats.truncated_spaces += (
-                        len(inputs) - config.max_spaces_per_node
-                    )
+                dropped = len(inputs) - config.max_spaces_per_node
+                if dropped > 0:
+                    stats.truncated_spaces += dropped
+                    stats.node_truncated[name] = dropped
                     inputs = inputs[: config.max_spaces_per_node]
                 for idx, inp in enumerate(inputs):
                     stats.edges += 1
@@ -355,7 +391,6 @@ class GraphVerifier:
                     outs.extend(served[(name, idx)])
                     idx += 1
                 outputs[name] = outs
-                stats.spaces_total += len(outs)
                 for dst in self.graph.successors(name):
                     inbox[dst].extend(outs)
 
@@ -369,7 +404,6 @@ class GraphVerifier:
         self._count("verify.dirty_edges", stats.dirty_edges)
         return GraphVerdict(
             graph_fingerprint=self.graph.fingerprint(),
-            can_reach=any(reachable.values()),
             reachable=reachable,
             witnesses=witnesses,
             stats=stats,
@@ -407,3 +441,43 @@ class GraphVerifier:
                     }
                 )
         return out
+
+
+def verdict_payload(
+    verdict: GraphVerdict,
+    graph: ServiceGraph,
+    max_traces: int = 10,
+    max_witnesses: int = 8,
+    chain: Optional[List[str]] = None,
+) -> Dict[str, Any]:
+    """The JSON envelope ``repro verify``, ``repro verify-graph``,
+    ``/v1/verify`` and ``/v1/verify_graph`` answer with (``chain``, the
+    NF names of a path graph, only for the two chain entry points)."""
+    stats = verdict.stats
+    payload: Dict[str, Any] = {
+        "graph": verdict.graph_fingerprint,
+        "n_nodes": graph.n_nodes,
+        "n_edges": graph.n_edges,
+        "sinks": sorted(verdict.reachable),
+        "status": verdict.status,
+        "complete": verdict.complete,
+        "can_reach": verdict.can_reach,
+        "n_spaces": verdict.n_spaces,
+        "truncated_spaces": stats.truncated_spaces,
+        "node_truncated": dict(sorted(stats.node_truncated.items())),
+        "solver_unknowns": stats.solver_unknowns,
+        "traces": [
+            [[name, entry_id] for name, entry_id in trace]
+            for trace in verdict.traces(limit=max_traces)
+        ],
+        "witnesses": verdict.witnesses[:max_witnesses],
+        "cache": {
+            "edges": stats.edges,
+            "hits": stats.cache_hits,
+            "misses": stats.cache_misses,
+            "dirty_edges": stats.dirty_edges,
+        },
+    }
+    if chain is not None:
+        payload["chain"] = chain
+    return payload

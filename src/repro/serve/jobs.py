@@ -355,22 +355,27 @@ def _chain_models(names: Any, what: str) -> List[Tuple[str, Any]]:
     return chain
 
 
+def _verify_graph(
+    body: Dict[str, Any], graph: Any, chain: Optional[List[str]] = None
+) -> Dict[str, Any]:
+    """Verify ``graph`` in this worker and build the response payload."""
+    from repro.netverify import GraphVerifier, GraphVerifyConfig, verdict_payload
+
+    # jobs pinned to 1: this already runs inside a pool worker, and
+    # daemonic pool processes cannot fork grandchildren.  The serve
+    # tier's parallelism is across requests/shards, not within one.
+    config = GraphVerifyConfig(use_cache=bool(body.get("cache", True)), jobs=1)
+    verdict = GraphVerifier(graph, config=config).verify()
+    max_traces = int(body.get("max_traces", 10))
+    max_witnesses = int(body.get("max_witnesses", 8))
+    return verdict_payload(verdict, graph, max_traces, max_witnesses, chain)
+
+
 def _op_verify(body: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.apps.verify import NetworkVerifier
+    from repro.netverify import path_graph
 
     chain = _chain_models(body.get("chain"), "chain")
-    verifier = NetworkVerifier(chain)
-    spaces = verifier.reachable()
-    max_traces = int(body.get("max_traces", 10))
-    return {
-        "chain": [name for name, _ in chain],
-        "can_reach": bool(spaces),
-        "n_spaces": len(spaces),
-        "traces": [
-            [[name, entry_id] for name, entry_id in space.trace]
-            for space in spaces[:max_traces]
-        ],
-    }
+    return _verify_graph(body, path_graph(chain), [name for name, _ in chain])
 
 
 def _graph_from_body(body: Dict[str, Any]) -> Any:
@@ -410,40 +415,7 @@ def _graph_from_body(body: Dict[str, Any]) -> Any:
 
 
 def _op_verify_graph(body: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.netverify import GraphVerifier, GraphVerifyConfig
-
-    graph = _graph_from_body(body)
-    # jobs pinned to 1: this already runs inside a pool worker, and
-    # daemonic pool processes cannot fork grandchildren.  The serve
-    # tier's parallelism is across requests/shards, not within one.
-    config = GraphVerifyConfig(use_cache=bool(body.get("cache", True)), jobs=1)
-    try:
-        verdict = GraphVerifier(graph, config=config).verify()
-    except ValueError as exc:
-        raise ValueError(str(exc))
-    max_traces = int(body.get("max_traces", 10))
-    max_witnesses = int(body.get("max_witnesses", 8))
-    stats = verdict.stats
-    return {
-        "graph": verdict.graph_fingerprint,
-        "n_nodes": graph.n_nodes,
-        "n_edges": graph.n_edges,
-        "sinks": sorted(verdict.reachable),
-        "can_reach": verdict.can_reach,
-        "n_spaces": verdict.n_spaces,
-        "solver_unknowns": stats.solver_unknowns,
-        "traces": [
-            [[name, entry_id] for name, entry_id in trace]
-            for trace in verdict.traces(limit=max_traces)
-        ],
-        "witnesses": verdict.witnesses[:max_witnesses],
-        "cache": {
-            "edges": stats.edges,
-            "hits": stats.cache_hits,
-            "misses": stats.cache_misses,
-            "dirty_edges": stats.dirty_edges,
-        },
-    }
+    return _verify_graph(body, _graph_from_body(body))
 
 
 def _op_compose(body: Dict[str, Any]) -> Dict[str, Any]:

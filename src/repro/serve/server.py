@@ -109,8 +109,8 @@ def _worker_warmup(
     if server_pid is not None:
         _exit_with_parent(server_pid)
     import repro.apps.testing  # noqa: F401
-    import repro.apps.verify  # noqa: F401
     import repro.equiv.differential  # noqa: F401
+    import repro.netverify  # noqa: F401
     import repro.nfactor.algorithm  # noqa: F401
     import repro.parallel  # noqa: F401
 

@@ -441,9 +441,10 @@ class SolverContext:
         self.dirty = False
         #: Watched complement shapes: asserted ``or``/``not(and ..)``
         #: conjuncts whose syntactic refutation may be completed by a
-        #: later atom (see _absorb_piece).
+        #: later atom (see _absorb_piece); a ``not(and ..)`` as its
+        #: flattened conjuncts' canonical keys.
         self.ors: List[SApp] = []
-        self.notands: List[SApp] = []
+        self.notands: List[Tuple[str, ...]] = []
 
     def copy(self) -> "SolverContext":
         out = SolverContext.__new__(SolverContext)
@@ -623,7 +624,15 @@ class Solver:
         if isinstance(piece, SApp) and piece.op == "not":
             inner = piece.args[0]
             if isinstance(inner, SApp) and inner.op == "and":
-                ctx.notands.append(piece)
+                # Flattened the way asserted conjunctions are, once, so
+                # ``not(and(and(a, b), c))`` is refuted by ``a, b, c``.
+                # A literal False conjunct makes the piece a tautology.
+                conjuncts: List[Any] = []
+                _expand_conjunction(inner, conjuncts)
+                if not any(a is False for a in conjuncts):
+                    ctx.notands.append(
+                        tuple(canon(a) for a in conjuncts if a is not True)
+                    )
         elif isinstance(piece, SApp) and piece.op == "or":
             ctx.ors.append(piece)
         if self._complement_watch(ctx):
@@ -657,13 +666,8 @@ class Solver:
 
     def _complement_watch(self, ctx: SolverContext) -> bool:
         """True when a watched ``or``/``not(and ..)`` shape is refuted."""
-        for watched in ctx.notands:
-            inner = watched.args[0]
-            if all(
-                (canon(a) in ctx.canon_set)
-                for a in inner.args
-                if not isinstance(a, bool)
-            ):
+        for conjuncts in ctx.notands:
+            if all(key in ctx.canon_set for key in conjuncts):
                 return True
         for watched in ctx.ors:
             negs = [mk_app("not", a) for a in watched.args]
@@ -1078,36 +1082,6 @@ def _expand_conjunction(c: Any, out: List[Any]) -> None:
                 _expand_conjunction(mk_app("not", a), out)
             return
     out.append(c)
-
-
-def _complement_present(c: Any, canon_set: Set[str]) -> bool:
-    """Syntactic UNSAT: the set also asserts the negation of ``c``.
-
-    Handles three shapes: a directly negated twin; ``not (A and B)``
-    while every conjunct is separately asserted; ``A or B`` while every
-    disjunct's negation is separately asserted.  (Kept as the reference
-    form of the incremental detection in ``Solver._absorb_piece``.)
-    """
-    negated = mk_app("not", c)
-    if not isinstance(negated, bool) and canon(negated) in canon_set:
-        return True
-    if isinstance(c, SApp) and c.op == "not":
-        inner = c.args[0]
-        if isinstance(inner, SApp) and inner.op == "and":
-            if all(
-                (canon(a) in canon_set)
-                for a in inner.args
-                if not isinstance(a, bool)
-            ):
-                return True
-    if isinstance(c, SApp) and c.op == "or":
-        negs = [mk_app("not", a) for a in c.args]
-        if all(
-            (isinstance(n, bool) and not n) or (canon(n) in canon_set)
-            for n in negs
-        ):
-            return True
-    return False
 
 
 def _is_leaf(value: Any) -> bool:

@@ -2,23 +2,37 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps.compose import analyze_chain, compose_chains, match_fields, rewrite_fields
 from repro.apps.testing import generate_tests, validate_suite
 from repro.apps.verify import (
     HeaderSpace,
-    NetworkVerifier,
     check_drop_invariant,
     find_forwarding_witness,
     model_check_entries,
 )
+from repro.netverify import GraphVerifier, GraphVerifyConfig, path_graph
 from repro.symbolic.expr import SApp, SVar, mk_app
 
 DPORT = SVar("pkt.dport", 0, 65535)
 PROTO = SVar("pkt.proto", 0, 255)
 FLAGS = SVar("pkt.tcp_flags", 0, 31)
 IN_PORT = SVar("pkt.in_port", 0, 255)
+
+
+def _reachable(chain, space=None):
+    """Spaces that traverse the whole chain, verified as a path graph."""
+    graph = path_graph(chain)
+    verdict = GraphVerifier(
+        graph, config=GraphVerifyConfig(use_cache=False)
+    ).verify(space)
+    return verdict.reachable[graph.sinks()[0]]
 
 
 class TestVerification:
@@ -90,27 +104,24 @@ class TestVerification:
         assert hit is not None
 
     def test_chain_reachability(self, firewall_result, lb_result):
-        verifier = NetworkVerifier(
+        spaces = _reachable(
             [("fw", firewall_result.model), ("lb", lb_result.model)]
         )
-        spaces = verifier.reachable()
         assert spaces  # some packet traverses fw then lb
 
     def test_chain_narrowed_space_unreachable(self, firewall_result):
         """Non-TCP traffic cannot traverse the firewall as configured
         (STRICT_MODE=1)."""
-        verifier = NetworkVerifier([("fw", firewall_result.model)])
         space = HeaderSpace.universe().constrained(mk_app("==", PROTO, 17))
-        assert not verifier.can_reach(space)
+        assert not _reachable([("fw", firewall_result.model)], space)
 
     def test_chain_transform_composes(self, lb_result):
         """Traffic leaving the LB towards a backend has the LB's
         source address."""
-        verifier = NetworkVerifier([("lb", lb_result.model)])
         space = HeaderSpace.universe().constrained(
             mk_app("==", DPORT, lb_result.module_env["LB_PORT"])
         )
-        out_spaces = verifier.reachable(space)
+        out_spaces = _reachable([("lb", lb_result.model)], space)
         assert out_spaces
         assert any(s.fields["ip_src"] == 50529027 for s in out_spaces)
 
@@ -201,3 +212,18 @@ def _fw_key():
     a = (SVar("pkt.ip_src", 0, 2**32 - 1), SVar("pkt.sport", 0, 65535))
     b = (SVar("pkt.ip_dst", 0, 2**32 - 1), SVar("pkt.dport", 0, 65535))
     return (a, b)
+
+
+class TestExamples:
+    def test_verify_chain_example_runs(self):
+        """examples/verify_chain.py end to end, artifact store off."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run(
+            [sys.executable, str(root / "examples" / "verify_chain.py"), "--no-cache"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "under the deployed config: HOLDS" in run.stdout
+        assert "reaches: 48 end-to-end forwarding behaviours" in run.stdout
+        assert "FW -> IDS -> LB      0 conflict(s)  <== recommended" in run.stdout

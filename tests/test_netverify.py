@@ -8,6 +8,7 @@ region (the edited node and everything downstream).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from unittest import mock
 
@@ -23,6 +24,8 @@ from repro.netverify import (
     ServiceGraph,
     build_graph,
     generate_graph,
+    path_graph,
+    verdict_payload,
 )
 from repro.netverify.graph import _synthesized
 from repro.netverify.verify import (
@@ -33,6 +36,7 @@ from repro.netverify.verify import (
     space_fingerprint,
 )
 from repro.symbolic import solver as solver_mod
+from repro.symbolic.expr import canon, mk_app
 from repro.symbolic.solver import Solver
 
 from tests.conftest import synthesize_cached
@@ -208,27 +212,46 @@ class TestGraphVerifierIdentity:
                 assert witness["sink"] in g.sinks()
                 assert witness["trace"]
 
-    def test_matches_linear_network_verifier_semantics(self):
-        """A 2-node path graph agrees with NetworkVerifier on verdict."""
-        from repro.apps.verify import NetworkVerifier
+    #: What the deleted linear chain verifier returned on untruncated
+    #: chains: its space count and a sha256 over its ordered
+    #: ``(trace, canon(constraints))`` list (see ``_linear_digest``).
+    LINEAR_CHAIN_RESULTS = {
+        ("monitor", "ratelimiter"): (
+            5,
+            "c34bfb9552c5131f7c832553f4bc995642431a06c183efb5a44d1565ce5d393e",
+        ),
+        ("firewall", "nat"): (
+            48,
+            "85fd569aeb21998871d126045e4e747dd4bc1ac6734ddcb64769edf1b007740e",
+        ),
+        ("firewall", "nat", "loadbalancer"): (
+            144,
+            "412f9e31bead50f6063b02658687c208166f57f3934e8982bccd2e90671ccf6b",
+        ),
+    }
 
-        fw, nat = synthesize_cached("firewall"), synthesize_cached("nat")
-        g = ServiceGraph()
-        g.add_node("fw", fw.model)
-        g.add_node("nat", nat.model)
-        g.add_edge("fw", "nat")
-        verdict = GraphVerifier(
-            g, config=GraphVerifyConfig(use_cache=False)
-        ).verify()
-        linear = NetworkVerifier(
-            [("firewall", fw.model), ("nat", nat.model)]
-        )
-        spaces = linear.reachable()
-        assert verdict.can_reach == bool(spaces)
-        assert verdict.n_spaces == len(spaces)
-        assert sorted(tuple(s.trace) for s in verdict.reachable["nat"]) == sorted(
-            tuple(s.trace) for s in spaces
-        )
+    @staticmethod
+    def _linear_digest(spaces):
+        payload = [
+            [[list(t) for t in s.trace], [canon(c) for c in s.constraints]]
+            for s in spaces
+        ]
+        return hashlib.sha256(
+            json.dumps(payload, separators=(",", ":")).encode()
+        ).hexdigest()
+
+    def test_path_graph_matches_recorded_linear_verifier(self):
+        """A chain verified as a path graph gives the linear verifier's
+        spaces: same count, same trace order, same constraints."""
+        for names, (n_spaces, digest) in self.LINEAR_CHAIN_RESULTS.items():
+            chain = [(name, _model(name)) for name in names]
+            verdict = GraphVerifier(
+                path_graph(chain), config=GraphVerifyConfig(use_cache=False)
+            ).verify()
+            spaces = verdict.reachable[f"{names[-1]}#{len(names) - 1}"]
+            assert verdict.status == "reaches" and verdict.complete, names
+            assert len(spaces) == verdict.n_spaces == n_spaces, names
+            assert self._linear_digest(spaces) == digest, names
 
 
 class TestDirtyRegion:
@@ -288,11 +311,82 @@ class TestObsAndStats:
         assert verdict.stats.truncated_spaces > 0
 
 
+class TestVerdictStatus:
+    def test_truncating_graph_is_incomplete_with_per_node_counts(self):
+        g = _quick_graph()
+        config = GraphVerifyConfig(use_cache=False, max_spaces_per_node=1)
+        verdict = GraphVerifier(g, config=config).verify()
+        dropped = verdict.stats.node_truncated
+        assert verdict.can_reach  # spaces reach, but the answer is unproven
+        assert verdict.status == "incomplete" and not verdict.complete
+        # A's single output feeds B and C whole; only the join D drops
+        assert list(dropped) == ["D"]
+        assert dropped["D"] == verdict.stats.truncated_spaces > 0
+        payload = json.loads(verdict.to_json())
+        assert payload["status"] == "incomplete"
+        assert payload["complete"] is False
+        assert payload["truncated"] == dict(sorted(dropped.items()))
+        assert "incomplete" in verdict.summary()
+        assert "D " + str(dropped["D"]) in verdict.summary()
+
+    def test_space_resting_on_unknown_is_may_reach(self):
+        """LB entry 1's space reaches NAT only through a guard check the
+        solver leaves ``unknown`` (an indexed backend address)."""
+        lb, nat = _model("loadbalancer"), _model("nat")
+        entry = next(e for e in lb.all_entries() if e.entry_id == 1)
+        space = HeaderSpace.universe()
+        space = space.constrained(
+            *[subst_fields(c, space.fields, "loadbalancer#0.") for c in entry.guard()]
+        )
+        graph = path_graph([("loadbalancer", lb), ("nat", nat)])
+        config = GraphVerifyConfig(use_cache=False, solver_cache=False)
+        verdict = GraphVerifier(graph, config=config).verify(space)
+        spaces = verdict.reachable["nat#1"]
+        assert [s.trace for s in spaces] == [[("loadbalancer", 1), ("nat", 5)]]
+        assert not spaces[0].decided
+        assert verdict.status == "may-reach" and verdict.complete
+        payload = json.loads(verdict.to_json())
+        assert payload["status"] == "may-reach"
+        assert payload["sinks"]["nat#1"][0]["decided"] is False
+        assert "may-reach" in verdict.summary()
+        # Unconstrained, the decided spaces make the same chain reach.
+        assert GraphVerifier(graph, config=config).verify().status == "reaches"
+
+    def test_unknown_input_flag_survives_a_cache_hit(self, tmp_path):
+        """The decided flag is not part of the edge key: a summary filled
+        from a decided input still marks an undecided input's outputs."""
+        with artifact_cache.override(directory=str(tmp_path), enabled=True):
+            g = ServiceGraph()
+            g.add_node("A", _model("monitor"))
+            decided = GraphVerifier(g).verify()
+            undecided = HeaderSpace.universe()
+            undecided.decided = False
+            warm = GraphVerifier(g).verify(undecided)
+            assert warm.stats.cache_hits == warm.stats.edges == 1
+            assert decided.status == "reaches"
+            assert warm.status == "may-reach"
+
+    def test_blackholed(self):
+        g = ServiceGraph()
+        g.add_node("fw", _model("firewall"))
+        udp = HeaderSpace.universe()
+        udp = udp.constrained(mk_app("==", udp.fields["proto"], 17))
+        verdict = GraphVerifier(
+            g, config=GraphVerifyConfig(use_cache=False)
+        ).verify(udp)
+        assert verdict.status == "blackholed" and not verdict.can_reach
+
+    def test_perfbench_graph_reaches_and_is_complete(self, cold_graph_run):
+        _tasks, verdict = cold_graph_run
+        assert verdict.status == "reaches"
+        assert verdict.complete and verdict.stats.truncated_spaces == 0
+
+
 #: Solver ``unknown`` answers in a cold verify of
 #: ``generate_graph(8, seed=1, width=4)`` with the solver cache off.  The
 #: ones left need a case split: l2switch's hairpin check
 #: ``cond(eth_dst == eth_src, in_port, mac_table[eth_dst]) == in_port``.
-COLD_VERIFY_MAX_UNKNOWNS = 14
+COLD_VERIFY_MAX_UNKNOWNS = 12
 
 
 @pytest.fixture(scope="module")
@@ -367,7 +461,25 @@ class TestPushSpaceAbsorbsOnce:
         _tasks, verdict = cold_graph_run
         assert verdict.stats.solver_unknowns <= COLD_VERIFY_MAX_UNKNOWNS
         assert f"{verdict.stats.solver_unknowns} solver unknown(s)" in verdict.summary()
-        assert verdict.stats.as_dict()["solver_unknowns"] == verdict.stats.solver_unknowns
+        graph = generate_graph(8, seed=1, width=4)
+        payload = verdict_payload(verdict, graph)
+        assert payload["solver_unknowns"] == verdict.stats.solver_unknowns
+
+    def test_two_hop_firewall_syn_checks_refuted(self, cold_graph_run):
+        """n05's firewall sits behind n00's: its drop entries 6 and 19
+        negate the trusted-SYN guard n00 asserted, as a nested
+        ``not(and(and(a, b), c))``.  The solver refutes them."""
+        tasks, _verdict = cold_graph_run
+        statuses = []
+        for model, ns, space in tasks:
+            if ns != "n05." or model.name != "firewall":
+                continue
+            for entry in model.all_entries():
+                if entry.entry_id in (6, 19):
+                    guard = [subst_fields(c, space.fields, ns) for c in entry.guard()]
+                    result = Solver(cache=False).check(space.constraints + guard)
+                    statuses.append(result.status)
+        assert "unsat" in statuses and "unknown" not in statuses
 
     def test_parallel_run_counts_worker_unknowns(self, cold_graph_run):
         _tasks, verdict = cold_graph_run
@@ -445,7 +557,36 @@ class TestServeOp:
             assert warm["traces"] == cold["traces"]
             assert warm["witnesses"] == cold["witnesses"]
             assert isinstance(cold["solver_unknowns"], int)
+            assert cold["status"] == warm["status"] == "reaches"
+            assert cold["complete"] is True and cold["truncated_spaces"] == 0
             json.dumps(warm)  # the whole envelope must be JSON-safe
+
+    def test_op_verify_chain(self):
+        from repro.serve.jobs import _op_verify, _op_verify_graph
+
+        with artifact_cache.override(enabled=False):
+            out = _op_verify({"chain": ["firewall", "nat"]})
+            assert out["chain"] == ["firewall", "nat"]
+            assert out["status"] == "reaches" and out["complete"] is True
+            assert out["can_reach"] is True and out["n_spaces"] == 48
+            assert out["truncated_spaces"] == 0
+            assert len(out["traces"]) == 10
+            # the same envelope as verify_graph on the same path graph
+            graph = _op_verify_graph(
+                {"nodes": [["firewall#0", "firewall"], ["nat#1", "nat"]],
+                 "edges": [["firewall#0", "nat#1"]]}
+            )
+            assert set(graph) == set(out) - {"chain"}
+            assert graph["traces"] == out["traces"]
+            assert graph["status"] == out["status"]
+
+    def test_op_verify_incomplete(self):
+        from repro.serve.jobs import _op_verify
+
+        with artifact_cache.override(enabled=False):
+            out = _op_verify({"chain": ["firewall", "snortlite", "loadbalancer"]})
+        assert out["status"] == "incomplete" and out["complete"] is False
+        assert out["truncated_spaces"] == out["node_truncated"]["loadbalancer#2"] > 0
 
     def test_op_verify_graph_generate(self, tmp_path):
         from repro.serve.jobs import _op_verify_graph
@@ -489,7 +630,66 @@ class TestCli:
         code = main(["--no-cache", "verify", "monitor", "ratelimiter"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "reachable" in out
+        assert "reaches" in out
+
+    def test_verify_json_keeps_payload_keys(self, capsys):
+        from repro.cli import main
+
+        code = main(["--no-cache", "verify", "firewall", "nat", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["chain"] == ["firewall", "nat"]
+        assert payload["can_reach"] is True and payload["n_spaces"] == 48
+        assert len(payload["traces"]) == 10
+        assert payload["status"] == "reaches" and payload["complete"] is True
+
+    def test_verify_exit_codes(self, capsys, tmp_path):
+        from repro.cli import main
+
+        files = {}
+        for name, cond in [
+            ("only80", "pkt.dport == 80"),
+            ("no80", "pkt.dport != 80"),
+            # SERVERS[idx] is 1 or 2, never dport + 3 when dport >= 0,
+            # but the solver cannot refute an index into a tuple.
+            ("maybe", "SERVERS[idx] == pkt.dport + 3"),
+        ]:
+            path = tmp_path / f"{name}.py"
+            path.write_text(
+                "SERVERS = (1, 2)\nidx = 0\n\n\ndef cb(pkt):\n"
+                "    global idx\n    idx = (idx + 1) % 2\n"
+                f"    if {cond}:\n        send_packet(pkt)\n\n\n"
+                'sniff("eth0", cb)\n'
+            )
+            files[name] = str(path)
+        cases = [
+            (["monitor"], 0, "reaches"),
+            ([files["only80"], files["no80"]], 1, "blackholed"),
+            ([files["maybe"]], 3, "may-reach"),
+            (["firewall", "snortlite", "loadbalancer"], 4, "incomplete"),
+        ]
+        for chain, code, status in cases:
+            assert main(["--no-cache", "verify", *chain]) == code, chain
+            assert f": {status} (" in capsys.readouterr().out
+        # verify-graph labels the same way, through the same payload
+        code = main(
+            ["--no-cache", "verify-graph", "--node", "A=monitor", "--node",
+             "B=monitor", "--node", "C=monitor", "--edge", "A:B", "--edge",
+             "A:C", "--json"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "reaches"
+
+    def test_verify_graph_incomplete_exit_code(self, capsys):
+        from repro.cli import main
+
+        # the CI --quick graph truncates at the per-node cap
+        code = main(
+            ["--no-cache", "verify-graph", "--generate", "12", "--width", "4"]
+        )
+        out = capsys.readouterr().out
+        assert code == 4
+        assert ": incomplete (" in out and "dropped at the per-node cap" in out
 
     def test_compose_subcommand(self, capsys):
         from repro.cli import main
@@ -514,7 +714,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["can_reach"] is True
-        assert payload["stats"]["edges"] > 0
+        assert payload["cache"]["edges"] > 0
 
     def test_verify_graph_bad_edge(self):
         from repro.cli import main

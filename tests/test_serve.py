@@ -284,6 +284,18 @@ class TestServerLifecycle:
             assert counters["serve.drains"] == 1
             assert "serve.drain_timeouts" not in counters
 
+    def test_verify_endpoints_label_their_verdicts(self, monkeypatch):
+        with serve(monkeypatch, workers=1) as (handle, client):
+            chain = client.verify(["firewall", "nat"]).raise_for_status().result
+            assert chain["chain"] == ["firewall", "nat"]
+            assert chain["status"] == "reaches" and chain["complete"] is True
+            assert chain["n_spaces"] == 48 and chain["truncated_spaces"] == 0
+            graph = client.verify_graph(
+                generate={"n": 12, "seed": 7, "width": 4}
+            ).raise_for_status().result
+            assert graph["status"] == "incomplete"
+            assert graph["complete"] is False and graph["truncated_spaces"] > 0
+
     def test_concurrent_clients_get_their_own_answers(self, monkeypatch):
         with serve(monkeypatch, workers=2, cache=True) as (handle, client):
             results = {}

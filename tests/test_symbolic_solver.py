@@ -111,6 +111,50 @@ class TestStructural:
         assert result.assignment[leaf_key(B)] == 1
 
 
+class TestNestedNotAnd:
+    """``not(and ..)`` is refuted by its conjuncts however the ``and``
+    nests: the watch flattens it the way asserted conjunctions are."""
+
+    SYN = SApp("!=", (SApp("&", (X, 2)), 0))
+    NO_ACK = SApp("==", (SApp("&", (X, 16)), 0))
+    TRUSTED = SApp("==", (Y, 0))
+
+    def _nested(self):
+        return SApp("not", (SApp("and", (SApp("and", (self.SYN, self.NO_ACK)), self.TRUSTED)),))
+
+    def test_refuted_after_its_conjuncts(self):
+        assert "a:and(a:and(" in canon(self._nested())
+        assert check(self.SYN, self.NO_ACK, self.TRUSTED, self._nested()).status == "unsat"
+
+    def test_refuted_before_its_conjuncts(self):
+        assert check(self._nested(), self.SYN, self.NO_ACK, self.TRUSTED).status == "unsat"
+
+    def test_refuted_when_the_conjuncts_arrive_nested(self):
+        """Two firewall hops: the first asserts the trusted-SYN guard as
+        one nested ``and``, the second its negation."""
+        guard = SApp("and", (SApp("and", (self.SYN, self.NO_ACK)), self.TRUSTED))
+        assert check(guard, self._nested()).status == "unsat"
+
+    def test_demorgan_conjunct_inside(self):
+        neg_or = SApp("not", (SApp("or", (self.NO_ACK, self.TRUSTED)),))
+        watched = SApp("not", (SApp("and", (self.SYN, neg_or)),))
+        assert check(
+            self.SYN, mk_app("not", self.NO_ACK), mk_app("not", self.TRUSTED), watched
+        ).status == "unsat"
+
+    def test_false_conjunct_is_never_refuted(self):
+        """``not(or(True, b))`` flattens to a literal False conjunct, which
+        makes the whole ``not(and ..)`` true, whatever else is asserted."""
+        always_false = SApp("not", (SApp("or", (True, self.NO_ACK)),))
+        tautology = SApp("not", (SApp("and", (self.SYN, always_false)),))
+        result = check(self.SYN, mk_app("not", self.NO_ACK), tautology)
+        assert result.status == "sat"
+
+    def test_missing_conjunct_stays_sat(self):
+        result = check(self.SYN, self.NO_ACK, mk_app("!=", Y, 0), self._nested())
+        assert result.status == "sat"
+
+
 class TestSampling:
     def test_arith_constraint_found_by_sampling(self):
         result = check(mk_app("==", mk_app("%", X, 7), 3))
