@@ -1,4 +1,4 @@
-"""E8 — engine cold-path performance: witness shortcut, frontier.
+"""E8 — engine cold-path performance: the witness shortcut.
 
 Measures the engine's cold-path stack end-to-end on the corpus with
 every cache pinned off (persistent artifact store disabled, solver
@@ -7,16 +7,11 @@ cold-path layers attack.
 
 - **baseline**  — the witness shortcut off: every branch arm is a
   fresh solver check;
-- **optimized** — the witness shortcut on (the default configuration);
-- **frontier**  — optimized, plus ``strategy="frontier"`` with
-  ``parallel_paths=4``: the initial branch frontier is partitioned
-  across worker processes.
+- **optimized** — the witness shortcut on (the default configuration).
 
-All three produce byte-identical serialized models — that is asserted
-before any number is reported.  The wall-clock comparison for the
-frontier row is only meaningful with spare cores (``cpu_count`` is
-recorded in the artifact for exactly that reason); the check/state
-reductions are machine-independent.
+Both produce byte-identical serialized models — that is asserted
+before any number is reported.  The check/state reductions are
+machine-independent; ``cpu_count`` is recorded beside the wall times.
 
 Runs two ways:
 
@@ -49,11 +44,7 @@ CORPUS_QUICK = ["nat", "firewall", "snortlite"]
 #: Default output path, anchored at the repo root (not the CWD).
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_perf_engine.json"
 
-#: The largest corpus NF — the frontier wall-clock comparison target.
-LARGEST = "snortlite"
-
 BASELINE = dict(witness_shortcut=False)
-FRONTIER = dict(strategy="frontier", parallel_paths=4)
 
 
 def run_one(name: str, **engine_kwargs) -> Dict[str, object]:
@@ -77,7 +68,7 @@ def run_one(name: str, **engine_kwargs) -> Dict[str, object]:
 
 
 def measure(names: List[str]) -> Dict[str, object]:
-    """Baseline/optimized per NF, plus the frontier run on the largest."""
+    """Baseline/optimized per NF."""
     from repro import cache as artifact_cache
 
     with artifact_cache.override(enabled=False):
@@ -111,29 +102,13 @@ def _measure(names: List[str]) -> Dict[str, object]:
             }
         )
 
-    row: Dict[str, object] = {
+    return {
         "nfs": names,
         "cpu_count": os.cpu_count(),
         "identical_models": identical,
         "nfs_with_20pct_reduction": reduced,
         "per_nf": per_nf,
     }
-
-    if LARGEST in names:
-        sequential = run_one(LARGEST)
-        frontier = run_one(LARGEST, **FRONTIER)
-        row["frontier_nf"] = LARGEST
-        row["frontier_jobs"] = FRONTIER["parallel_paths"]
-        row["sequential_wall_s"] = sequential["wall_s"]
-        row["frontier_wall_s"] = frontier["wall_s"]
-        row["frontier_speedup"] = (
-            round(sequential["wall_s"] / frontier["wall_s"], 2)
-            if frontier["wall_s"]
-            else 0.0
-        )
-        row["frontier_identical"] = frontier["model"] == sequential["model"]
-        row["identical_models"] = identical and row["frontier_identical"]
-    return row
 
 
 def _reduction(before: int, after: int) -> float:
@@ -154,16 +129,6 @@ def report(row: Dict[str, object]) -> None:
             r["witness_hits"], r["identical_model"],
         ] for r in row["per_nf"]],
     )
-    if "frontier_wall_s" in row:
-        print_table(
-            f"Frontier exploration ({row['frontier_nf']}, "
-            f"N={row['frontier_jobs']}, {row['cpu_count']} cpu)",
-            ["sequential", "frontier", "speedup", "identical"],
-            [[
-                f"{row['sequential_wall_s']}s", f"{row['frontier_wall_s']}s",
-                f"{row['frontier_speedup']}x", row["frontier_identical"],
-            ]],
-        )
 
 
 # -- pytest benchmark entry ---------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.model.matchaction import NFModel
 from repro.symbolic.expr import SApp, SDictVal, SVar, sym_vars
@@ -111,3 +111,21 @@ def compose_chains(
     ]
     analyses.sort(key=lambda an: an.n_conflicts)
     return analyses
+
+
+def compose_payload(ranked: Sequence[ChainAnalysis]) -> Dict[str, Any]:
+    """The JSON ``repro compose --json`` and ``/v1/compose`` answer with."""
+    return {
+        "recommended": list(ranked[0].order),
+        "orders": [
+            {
+                "order": list(an.order),
+                "n_conflicts": an.n_conflicts,
+                "conflicts": [
+                    {"upstream": a, "downstream": b, "fields": sorted(fields)}
+                    for a, b, fields in an.conflicts
+                ],
+            }
+            for an in ranked
+        ],
+    }

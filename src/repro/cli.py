@@ -56,11 +56,9 @@ from repro.model.fsm import build_fsm
 from repro.model.serialize import model_to_json, render_model
 from repro.nfactor.algorithm import (
     NFactor,
-    NFactorConfig,
     SynthesisResult,
     synthesize_model_cached,
 )
-from repro.symbolic.engine import EngineConfig
 from repro.nfs import get_nf, nf_names
 from repro.nfs.registry import NFSpec
 
@@ -117,18 +115,8 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     spec = load_spec(args.nf, args.entry)
-    config = None
-    if args.parallel_paths > 1:
-        # Perf-only knob: frontier exploration partitions path suffixes
-        # across worker processes and produces the same bytes as
-        # sequential DFS, so the artifact-cache key is unaffected.
-        config = NFactorConfig(
-            engine=EngineConfig(
-                strategy="frontier", parallel_paths=args.parallel_paths
-            )
-        )
     ms = synthesize_model_cached(
-        spec.source, name=spec.name, entry=args.entry or spec.entry, config=config
+        spec.source, name=spec.name, entry=args.entry or spec.entry
     )
     if args.json:
         print(ms.model_json)
@@ -465,35 +453,13 @@ def cmd_compose(args: argparse.Namespace) -> int:
     """Local chain composition analysis (no server needed)."""
     import json
 
-    from repro.apps.compose import compose_chains
+    from repro.apps.compose import compose_chains, compose_payload
 
     chain_a = _chain_models_local(args.chain_a.split(","))
     chain_b = _chain_models_local(args.chain_b.split(","))
     ranked = compose_chains(chain_a, chain_b)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "recommended": list(ranked[0].order),
-                    "orders": [
-                        {
-                            "order": list(an.order),
-                            "n_conflicts": an.n_conflicts,
-                            "conflicts": [
-                                {
-                                    "upstream": a,
-                                    "downstream": b,
-                                    "fields": sorted(fields),
-                                }
-                                for a, b, fields in an.conflicts
-                            ],
-                        }
-                        for an in ranked
-                    ],
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(compose_payload(ranked), indent=2))
         return 0
     print(f"recommended: {' -> '.join(ranked[0].order)}")
     for an in ranked:
@@ -803,7 +769,13 @@ def cmd_query(args: argparse.Namespace) -> int:
     print(json.dumps(response.payload, indent=2))
     if args.shards is not None:
         print(f"shard: {response.shard}", file=sys.stderr)
-    return 0 if response.ok else 1
+    if not response.ok:
+        return 1
+    if args.action == "verify":
+        from repro.netverify.verify import EXIT_CODES
+
+        return EXIT_CODES[response.result["status"]]
+    return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -953,14 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = nf_command("synthesize", cmd_synthesize, "synthesize and print the model")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.add_argument("--stats", action="store_true", help="print pipeline statistics")
-    p.add_argument(
-        "--parallel-paths",
-        type=int,
-        default=1,
-        metavar="N",
-        help="explore path suffixes across N worker processes "
-        "(frontier strategy; same model bytes as sequential DFS)",
-    )
 
     nf_command("slice", cmd_slice, "print the source with the slice highlighted")
     nf_command("categories", cmd_categories, "print the Table-1 variable categories")

@@ -131,7 +131,7 @@ class ServiceGraph:
 
         Level *k* holds the nodes whose longest path from any source has
         *k* edges, so everything a node consumes was produced in an
-        earlier level — the unit of frontier-parallel exploration.
+        earlier level — the unit the verifier fans out to workers.
         Raises ``ValueError`` on a cycle.
         """
         indegree = {n: len(self._pred[n]) for n in self.nodes}

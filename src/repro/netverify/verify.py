@@ -155,6 +155,7 @@ class GraphVerifyConfig:
 class VerifyStats:
     """What one run did (only :attr:`node_truncated` is in the verdict bytes)."""
 
+    #: Edge tasks (one per input space per node), not graph edges.
     edges: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -258,7 +259,7 @@ class GraphVerdict:
         lines = [
             f"graph {self.graph_fingerprint[:12]}: {self.status} "
             f"({self.n_spaces} space(s) across {len(self.reachable)} sink(s)); "
-            f"{s.edges} edges, {s.cache_hits} cache hits, "
+            f"{s.edges} edge tasks, {s.cache_hits} cache hits, "
             f"{s.dirty_edges} recomputed, {s.solver_unknowns} solver unknown(s), "
             f"{s.elapsed_s * 1000:.1f} ms"
         ]
@@ -452,7 +453,10 @@ def verdict_payload(
 ) -> Dict[str, Any]:
     """The JSON envelope ``repro verify``, ``repro verify-graph``,
     ``/v1/verify`` and ``/v1/verify_graph`` answer with (``chain``, the
-    NF names of a path graph, only for the two chain entry points)."""
+    NF names of a path graph, only for the two chain entry points).
+
+    ``n_edges`` counts the graph's edges; ``cache.edges`` counts the
+    run's edge tasks (one per input space per node)."""
     stats = verdict.stats
     payload: Dict[str, Any] = {
         "graph": verdict.graph_fingerprint,

@@ -108,8 +108,7 @@ class SynthesisStats:
     #: budget (missing from the model).  Surfaced, never folded away.
     solver_unknowns: int = 0
     paths_truncated: int = 0
-    # Engine cold-path counters (docs/internals.md §9); frontier runs
-    # fold the worker processes' counts in.
+    # Engine cold-path counters (docs/internals.md §9).
     states_explored: int = 0
     #: Always 0: no state is grafted; perfbench's synth-cold still reads it.
     pruned_subsumed: int = 0
@@ -214,7 +213,6 @@ _PERF_ONLY_ENGINE_FIELDS = frozenset(
     {
         "solver_cache",
         "witness_shortcut",
-        "parallel_paths",
     }
 )
 
@@ -226,19 +224,10 @@ def _full_config_fingerprint(config: NFactorConfig) -> Tuple:
     invalidates old entries) by default; only the cache toggles and the
     perf-only engine toggles are excluded — they change *when* work
     happens, never what is computed, so cached/uncached runs may share
-    keys.  The parallel "frontier" strategy is byte-identical to
-    sequential dfs (canonical path ordering), so it normalizes to "dfs"
-    in the key.
+    keys.
     """
-
-    def engine_value(name: str) -> Any:
-        value = getattr(config.engine, name)
-        if name == "strategy" and value == "frontier":
-            return "dfs"
-        return _canon_value(value)
-
     engine = tuple(
-        (f.name, engine_value(f.name))
+        (f.name, _canon_value(getattr(config.engine, f.name)))
         for f in fields(EngineConfig)
         if f.name not in _PERF_ONLY_ENGINE_FIELDS
     )
@@ -540,8 +529,6 @@ class NFactor:
                         sliced_entry, prep.sym_env, watched=categories.ois_vars
                     )
             stats.se_time_s = se_sw.elapsed
-            # Via engine.stats (not engine.solver): frontier runs fold
-            # the worker processes' solver and engine counters in there.
             stats.solver_checks = engine.stats.solver_checks
             stats.solver_cache_hits = engine.stats.solver_cache_hits
             stats.solver_cache_misses = engine.stats.solver_cache_misses

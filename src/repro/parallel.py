@@ -53,7 +53,6 @@ __all__ = [
     "BatchOutcome",
     "synthesize_many",
     "resolve_targets",
-    "explore_frontier_parts",
     "compute_edge_summaries",
     "observed_call",
     "default_jobs",
@@ -202,8 +201,8 @@ def observed_call(
 ) -> Tuple[Any, Dict[str, Any], List[Dict[str, Any]]]:
     """Run ``fn`` under a fresh observer; returns (value, metrics, spans).
 
-    The worker-process idiom shared by batch synthesis, frontier
-    exploration and the serve pool (:mod:`repro.serve.jobs`): a child
+    The worker-process idiom shared by batch synthesis, graph-verify
+    edge tasks and the serve pool (:mod:`repro.serve.jobs`): a child
     runs its work observed and ships the registry snapshot plus its
     span batch home, where the parent folds the metrics in via
     :meth:`MetricsRegistry.merge` and stitches the spans into the
@@ -242,74 +241,6 @@ def observed_call(
 
 
 # ---------------------------------------------------------------------------
-# Intra-NF frontier workers (EngineConfig.strategy == "frontier")
-# ---------------------------------------------------------------------------
-
-
-def _frontier_worker(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Explore one partition of a branch frontier in a fresh engine.
-
-    Ships back raw finished states plus the worker's stats and metrics
-    snapshot; the parent engine does the canonical merge.  Never raises
-    — an error is returned as a formatted traceback so the parent can
-    fail the whole exploration coherently.
-    """
-    from dataclasses import asdict
-
-    from repro import obs
-    from repro.symbolic.engine import SymbolicEngine
-
-    block, seeds, watched, config_kwargs = payload
-    try:
-        config_kwargs = dict(config_kwargs, parallel_paths=1)
-        engine = SymbolicEngine(EngineConfig(**config_kwargs))
-        with obs.observed() as (_tracer, registry):
-            finished, stats = engine.explore_seeds(block, seeds, watched)
-            snapshot = registry.snapshot()
-        return finished, asdict(stats), snapshot, ""
-    except Exception:
-        return [], {}, {}, traceback.format_exc(limit=8)
-
-
-def explore_frontier_parts(
-    block: Any,
-    parts: Sequence[Sequence[Any]],
-    watched: Any,
-    config: EngineConfig,
-) -> List[Tuple[List[Any], Dict[str, Any]]]:
-    """Fan frontier partitions out over a process pool.
-
-    Each partition is explored independently with the same engine
-    configuration (depth-first, in-process); results come back in
-    partition order.  Worker metrics snapshots are folded into the
-    parent's ambient registry so a parallel exploration profiles like a
-    sequential one.
-    """
-    from dataclasses import asdict
-
-    from repro.obs import metrics as obs_metrics
-
-    config_kwargs = asdict(config)
-    payloads = [(block, list(part), set(watched), config_kwargs) for part in parts]
-    jobs = min(len(payloads), max(1, config.parallel_paths))
-    if jobs <= 1:
-        raw = [_frontier_worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_frontier_worker, payloads))
-
-    registry = obs_metrics.active()
-    out: List[Tuple[List[Any], Dict[str, Any]]] = []
-    for finished, stats, snapshot, error in raw:
-        if error:
-            raise RuntimeError(f"frontier worker failed:\n{error}")
-        if registry.enabled and snapshot:
-            registry.merge(snapshot)
-        out.append((finished, stats))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Graph-verification edge workers (repro.netverify)
 # ---------------------------------------------------------------------------
 
@@ -345,9 +276,8 @@ def compute_edge_summaries(
     """Fan edge tasks out over a process pool; ``(summary, solver
     unknowns)`` pairs in input order.
 
-    Mirrors :func:`explore_frontier_parts`: worker metrics snapshots
-    fold into the parent's ambient registry, a worker failure raises in
-    the parent, and ``jobs<=1`` degenerates to the in-process loop so
+    Worker metrics snapshots fold into the parent's ambient registry,
+    a worker failure raises in the parent, and ``jobs<=1`` degenerates to the in-process loop so
     the parallel path has a same-code-path determinism reference.
     """
     from repro.obs import metrics as obs_metrics

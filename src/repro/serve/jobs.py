@@ -45,7 +45,7 @@ class JobTimeout(BaseException):
     """Raised inside the worker when the request deadline fires.
 
     Deliberately a ``BaseException``: the pipeline's errors-are-data
-    layers (engine frontier loops, cache tiers, batch outcomes) wrap
+    layers (the engine's witness checks, cache tiers, batch outcomes) wrap
     work in ``except Exception`` — a deadline that happens to fire
     inside one of those blocks must cancel the job, not be folded into
     a partial result and kept running.  Only :func:`run_job` catches
@@ -419,25 +419,11 @@ def _op_verify_graph(body: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _op_compose(body: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.apps.compose import compose_chains
+    from repro.apps.compose import compose_chains, compose_payload
 
     chain_a = _chain_models(body.get("chain_a"), "chain_a")
     chain_b = _chain_models(body.get("chain_b"), "chain_b")
-    ranked = compose_chains(chain_a, chain_b)
-    return {
-        "recommended": list(ranked[0].order),
-        "orders": [
-            {
-                "order": list(an.order),
-                "n_conflicts": an.n_conflicts,
-                "conflicts": [
-                    {"upstream": a, "downstream": b, "fields": sorted(fields)}
-                    for a, b, fields in an.conflicts
-                ],
-            }
-            for an in ranked
-        ],
-    }
+    return compose_payload(compose_chains(chain_a, chain_b))
 
 
 def _op_testgen(body: Dict[str, Any]) -> Dict[str, Any]:

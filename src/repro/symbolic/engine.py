@@ -19,7 +19,7 @@ flow" entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cfg.builder import build_cfg
 from repro.cfg.graph import CFG, ENTRY, EXIT
@@ -79,7 +79,6 @@ from repro.symbolic.solver import (
     consistent_witness,
 )
 from repro.symbolic.state import PathResult, SymState
-from repro.symbolic.strategies import VALID_STRATEGIES, Strategy, make_strategy
 from repro.util.timer import Stopwatch
 
 _BOOL_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "and", "or", "not", "member"})
@@ -115,26 +114,10 @@ class EngineConfig:
     solver_samples: int = DEFAULT_MAX_SAMPLES
     solver_cache: bool = True
     keep_pruned: bool = False
-    #: Exploration order: one of
-    #: :data:`repro.symbolic.strategies.VALID_STRATEGIES`.
-    strategy: str = "dfs"
-    strategy_seed: int = 0
     #: Cold-path performance toggle (docs/internals.md §9).  It is
     #: behaviour-preserving: synthesized models are byte-identical with
     #: it on or off, so it does not participate in cache fingerprints.
     witness_shortcut: bool = True
-    #: Worker processes for the "frontier" strategy; 1 = in-process
-    #: (degenerates to dfs).  Ignored by the other strategies.
-    parallel_paths: int = 1
-
-    def __post_init__(self) -> None:
-        if self.strategy not in VALID_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r} "
-                f"(valid: {', '.join(VALID_STRATEGIES)})"
-            )
-        if self.parallel_paths < 1:
-            raise ValueError("parallel_paths must be >= 1")
 
 
 @dataclass
@@ -194,10 +177,10 @@ class SymbolicEngine:
         variables whose writes should be recorded per path (the
         output-impacting state variables).
 
-        Finished paths are numbered and ordered *canonically* (by their
-        branch-decision sequence, True before False), so every strategy
-        — and the parallel frontier merge — yields byte-identical
-        results on a complete exploration.
+        Forked siblings wait on one depth-first stack: the ``True`` arm
+        runs on and the ``False`` sibling is pushed, so paths finish in
+        the canonical order of their branch-decision sequences (``True``
+        before ``False``) and are numbered in that order.
         """
         self.stats = ExploreStats()
         watched = watched or set()
@@ -206,22 +189,12 @@ class SymbolicEngine:
 
         entry_succs = cfg.succs(ENTRY, virtual=False)
         first = entry_succs[0] if entry_succs else EXIT
-        initial = SymState(pc=first, env=dict(init_env or {}))
-        worker_solver = {"checks": 0, "hits": 0, "misses": 0, "unknowns": 0}
+        stack = [SymState(pc=first, env=dict(init_env or {}))]
 
-        span = obs_trace.span(
-            "se.explore", stmts=len(stmts), strategy=self.config.strategy
-        )
+        span = obs_trace.span("se.explore", stmts=len(stmts))
         with span, Stopwatch() as sw:
             finished: List[SymState] = []
-            if self.config.strategy == "frontier" and self.config.parallel_paths > 1:
-                self._explore_frontier(
-                    block, initial, cfg, stmts, watched, finished, worker_solver
-                )
-            else:
-                stack = make_strategy(self.config.strategy, self.config.strategy_seed)
-                stack.push(initial)
-                self._drive(stack, cfg, stmts, watched, finished)
+            self._drive(stack, cfg, stmts, watched, finished)
             results = self._finalize(finished)
             span.set(
                 paths_done=self.stats.paths_done,
@@ -234,60 +207,29 @@ class SymbolicEngine:
                 exhausted=self.stats.exhausted,
             )
         self.stats.elapsed_s = sw.elapsed
-        self.stats.solver_checks = self.solver.checks + worker_solver["checks"]
-        self.stats.solver_cache_hits = self.solver.cache_hits + worker_solver["hits"]
-        self.stats.solver_cache_misses = (
-            self.solver.cache_misses + worker_solver["misses"]
-        )
-        self.stats.solver_unknowns = (
-            self.solver.unknown_hits + worker_solver["unknowns"]
-        )
-        obs_metrics.counter("se.steps").inc(self.stats.steps)
-        return results
-
-    def explore_seeds(
-        self,
-        block: Block,
-        seeds: Sequence[SymState],
-        watched: Optional[Set[str]] = None,
-    ) -> Tuple[List[SymState], ExploreStats]:
-        """Depth-first explore from pre-forked seed states (frontier
-        workers).  Returns raw finished states — the parent performs the
-        canonical merge/numbering across all partitions."""
-        self.stats = ExploreStats()
-        watched = watched or set()
-        cfg = build_cfg(block)
-        stmts = {s.sid: s for s in iter_block(block)}
-        finished: List[SymState] = []
-        stack = make_strategy("dfs", self.config.strategy_seed)
-        for seed in seeds:
-            stack.push(seed)
-        self._drive(stack, cfg, stmts, watched, finished)
         self.stats.solver_checks = self.solver.checks
         self.stats.solver_cache_hits = self.solver.cache_hits
         self.stats.solver_cache_misses = self.solver.cache_misses
         self.stats.solver_unknowns = self.solver.unknown_hits
-        return finished, self.stats
+        obs_metrics.counter("se.steps").inc(self.stats.steps)
+        return results
 
     # -- drive loop ----------------------------------------------------------
 
     def _drive(
         self,
-        stack: Strategy,
+        stack: List[SymState],
         cfg: CFG,
         stmts: Dict[int, Stmt],
         watched: Set[str],
         finished: List[SymState],
-        stop_at: Optional[int] = None,
     ) -> None:
-        """Pop-and-run until the stack drains (or ``stop_at`` pending
-        states accumulate — the frontier hand-off point)."""
+        """Pop-and-run until the stack drains or ``max_paths`` paths
+        are done."""
         while stack:
             if self.stats.paths_done >= self.config.max_paths:
                 self.stats.exhausted = True
                 break
-            if stop_at is not None and len(stack) >= stop_at:
-                break  # hand the pending frontier to the process pool
             state = stack.pop()
             obs_metrics.counter("se.states_popped").inc()
             self._finish_state(
@@ -313,47 +255,13 @@ class SymbolicEngine:
             self.stats.states_explored += 1
 
     def _finalize(self, finished: List[SymState]) -> List[PathResult]:
-        """Canonically order, number, and filter finished states.
+        """Number finished states in finish order and keep the results.
 
-        The key is the branch-decision sequence (True sorts before
-        False): depth-first finish order already coincides with it, so
-        the sort is the identity for dfs, while bfs/random/frontier
-        converge to the same byte stream.  Numbering covers *every*
-        finished state (pruned/truncated included) to preserve the
-        historical path-id sequence.
+        Numbering covers *every* finished state (pruned/truncated
+        included) to preserve the historical path-id sequence.
         """
-
-        def key(state: SymState) -> Tuple[Tuple[int, int], ...]:
-            return tuple((sid, 0 if oc else 1) for sid, oc in state.branches)
-
-        ordered = sorted(finished, key=key)
-        # Budget cut: a sequential run stops right after the path that
-        # reaches ``max_paths`` finishes, so a frontier merge (whose
-        # workers each ran with the full budget) must discard everything
-        # past the max-th done path in canonical order.
-        done_seen = 0
-        for index, state in enumerate(ordered):
-            if state.status == "done":
-                done_seen += 1
-                if done_seen >= self.config.max_paths:
-                    dropped = ordered[index + 1:]
-                    if dropped:
-                        ordered = ordered[: index + 1]
-                        self.stats.exhausted = True
-                        self.stats.paths_done = done_seen
-                        self.stats.paths_pruned = sum(
-                            1 for s in ordered if s.status == "pruned"
-                        )
-                        self.stats.paths_truncated = sum(
-                            1 for s in ordered if s.status == "truncated"
-                        )
-                        self.stats.paths_error = sum(
-                            1 for s in ordered if s.status == "error"
-                        )
-                    break
-
         results: List[PathResult] = []
-        for path_id, state in enumerate(ordered, 1):
+        for path_id, state in enumerate(finished, 1):
             if state.status != "done" and not self.config.keep_pruned:
                 continue
             if state.status == "pruned":
@@ -373,58 +281,6 @@ class SymbolicEngine:
             )
         return results
 
-    # -- frontier parallelism -------------------------------------------------
-
-    def _explore_frontier(
-        self,
-        block: Block,
-        initial: SymState,
-        cfg: CFG,
-        stmts: Dict[int, Stmt],
-        watched: Set[str],
-        finished: List[SymState],
-        worker_solver: Dict[str, int],
-    ) -> None:
-        """Phase A: expand the branch frontier in-process until enough
-        independent states exist; phase B: partition them across a
-        process pool and merge the workers' finished states.  The
-        canonical ordering in :meth:`_finalize` makes the merge
-        deterministic and byte-identical to sequential DFS.
-
-        Phase A runs *breadth*-first: a DFS stack dives into one subtree
-        and rarely holds more than a handful of pending siblings, so it
-        may drain the whole program without ever reaching the hand-off
-        width.  BFS widens the frontier level by level instead."""
-        from repro.parallel import explore_frontier_parts
-
-        jobs = self.config.parallel_paths
-        stack = make_strategy("bfs", self.config.strategy_seed)
-        stack.push(initial)
-        self._drive(stack, cfg, stmts, watched, finished, stop_at=jobs * 4)
-        pending = stack.drain()
-        if not pending:
-            return
-        if self.stats.exhausted:
-            return
-        parts = [pending[i::jobs] for i in range(jobs)]
-        parts = [part for part in parts if part]
-        outcomes = explore_frontier_parts(block, parts, watched, self.config)
-        for states, stats in outcomes:
-            finished.extend(states)
-            self.stats.paths_done += stats["paths_done"]
-            self.stats.paths_pruned += stats["paths_pruned"]
-            self.stats.paths_truncated += stats["paths_truncated"]
-            self.stats.paths_error += stats["paths_error"]
-            self.stats.forks += stats["forks"]
-            self.stats.steps += stats["steps"]
-            self.stats.states_explored += stats["states_explored"]
-            self.stats.witness_hits += stats["witness_hits"]
-            self.stats.exhausted = self.stats.exhausted or stats["exhausted"]
-            worker_solver["checks"] += stats["solver_checks"]
-            worker_solver["hits"] += stats["solver_cache_hits"]
-            worker_solver["misses"] += stats["solver_cache_misses"]
-            worker_solver["unknowns"] += stats["solver_unknowns"]
-
     # -- per-state loop -------------------------------------------------------
 
     def _run_state(
@@ -433,7 +289,7 @@ class SymbolicEngine:
         cfg: CFG,
         stmts: Dict[int, Stmt],
         watched: Set[str],
-        stack: "Strategy",
+        stack: List[SymState],
     ) -> SymState:
         """Advance ``state`` until it finishes.
 
@@ -498,7 +354,7 @@ class SymbolicEngine:
         state: SymState,
         stmt: Stmt,
         cfg: CFG,
-        stack: "Strategy",
+        stack: List[SymState],
     ) -> Optional[int]:
         """Handle a branch node; returns the pc to follow, or None."""
         assert isinstance(stmt, (SIf, SWhile))
@@ -624,7 +480,7 @@ class SymbolicEngine:
             target_false = self._branch_target(cfg, stmt.sid, False)
             if target_false is not None:
                 other.pc = target_false
-                stack.push(other)
+                stack.append(other)
             outcome = True
         else:
             outcome = feasible[0]

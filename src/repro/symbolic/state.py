@@ -86,14 +86,6 @@ class SymState:
             witness=None,
         )
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # Solver contexts are in-process propagation caches — cheap to
-        # rebuild and not designed to cross a process boundary (frontier
-        # workers re-derive them from the constraint prefix).
-        state = dict(self.__dict__)
-        state["solver_ctx"] = None
-        return state
-
 
 @dataclass
 class PathResult:

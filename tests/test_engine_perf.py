@@ -1,11 +1,11 @@
-"""Guards for the engine cold-path stack (docs/internals.md §9).
+"""Guards for the engine cold path (docs/internals.md §9).
 
-The two cold-path layers — the witness shortcut and frontier-parallel
-exploration — both claim to be behaviour-preserving *by construction*:
-toggling the shortcut, or changing the exploration strategy, must
-produce byte-identical serialized models.  These tests pin that claim
-corpus-wide, plus the strategy/config validation and the
-explored/truncated accounting identity.
+The engine explores depth-first: the ``True`` arm of a fork runs on and
+the ``False`` sibling waits on the stack, so paths finish — and are
+numbered — in canonical branch order.  These tests pin that order
+corpus-wide and under a path budget, that the witness shortcut is
+behaviour-preserving (byte-identical serialized models with it off),
+and the explored/truncated accounting identity.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.pdg.flatten import flatten_program
 from repro.symbolic.engine import EngineConfig, ExploreStats, SymbolicEngine
 from repro.symbolic.expr import SApp, SymDict, SymPacket, leaf_key, mk_app
 from repro.symbolic.state import SymState
-from repro.symbolic.strategies import VALID_STRATEGIES, make_strategy
 
 
 def _model_bytes(name: str, **engine_kwargs) -> str:
@@ -31,48 +30,6 @@ def _model_bytes(name: str, **engine_kwargs) -> str:
     )
     result = NFactor(spec.source, name=name, config=config).synthesize()
     return model_to_json(result.model)
-
-
-class TestConfigValidation:
-    def test_bad_strategy_rejected_at_construction(self):
-        with pytest.raises(ValueError) as err:
-            EngineConfig(strategy="dijkstra")
-        # The message teaches the fix: it names every valid strategy.
-        for valid in VALID_STRATEGIES:
-            assert valid in str(err.value)
-
-    def test_make_strategy_names_valid_strategies(self):
-        with pytest.raises(ValueError) as err:
-            make_strategy("a-star")
-        for valid in VALID_STRATEGIES:
-            assert valid in str(err.value)
-
-    def test_frontier_maps_to_lifo(self):
-        from repro.symbolic.strategies import DepthFirst
-
-        assert isinstance(make_strategy("frontier"), DepthFirst)
-
-    def test_parallel_paths_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EngineConfig(parallel_paths=0)
-
-
-class TestCrossStrategyByteIdentity:
-    """Every corpus NF: one model, whatever the exploration order."""
-
-    @pytest.mark.parametrize("name", nf_names())
-    def test_all_strategies_agree(self, name):
-        reference = _model_bytes(name, strategy="dfs")
-        assert _model_bytes(name, strategy="bfs") == reference
-        for seed in (0, 1, 2):
-            assert (
-                _model_bytes(name, strategy="random", strategy_seed=seed)
-                == reference
-            )
-        assert (
-            _model_bytes(name, strategy="frontier", parallel_paths=2)
-            == reference
-        )
 
 
 class TestToggleByteIdentity:
@@ -107,6 +64,41 @@ def _explore(**engine_kwargs):
     finally:
         obs_metrics.uninstall(previous)
     return paths, engine.stats, registry.snapshot()["counters"]
+
+
+def _branch_key(path):
+    """A path's canonical sort key: its branch decisions, True first."""
+    return tuple((sid, 0 if outcome else 1) for sid, outcome in path.branches)
+
+
+def _assert_canonical_order(paths):
+    ids = [p.path_id for p in paths]
+    keys = [_branch_key(p) for p in paths]
+    assert all(a < b for a, b in zip(ids, ids[1:])), ids
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+class TestDepthFirstOrder:
+    """Depth-first finish order is the canonical branch order."""
+
+    @pytest.mark.parametrize("name", nf_names())
+    def test_paths_finish_in_canonical_order(self, name):
+        spec = get_nf(name)
+        for parametric in (False, True):
+            config = NFactorConfig(parametric=parametric, artifact_cache=False)
+            result = NFactor(spec.source, name=name, config=config).synthesize()
+            assert result.paths
+            _assert_canonical_order(result.paths)
+
+    def test_budget_keeps_first_paths_in_canonical_order(self):
+        full, full_stats, _ = _explore()
+        cut, cut_stats, _ = _explore(max_paths=2)
+        assert len(full) > 2 and not full_stats.exhausted
+        assert cut_stats.exhausted and cut_stats.paths_done == 2
+        _assert_canonical_order(full)
+        assert [(p.path_id, p.branches) for p in cut] == [
+            (p.path_id, p.branches) for p in full[:2]
+        ]
 
 
 class TestAccounting:

@@ -643,6 +643,16 @@ class TestCli:
         assert len(payload["traces"]) == 10
         assert payload["status"] == "reaches" and payload["complete"] is True
 
+    def test_summary_counts_edge_tasks_not_graph_edges(self, capsys):
+        from repro.cli import main
+
+        main(["--no-cache", "verify", "firewall", "nat", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        tasks = payload["cache"]["edges"]
+        assert payload["n_edges"] == 1 and tasks > 1
+        main(["--no-cache", "verify", "firewall", "nat"])
+        assert f"; {tasks} edge tasks, " in capsys.readouterr().out
+
     def test_verify_exit_codes(self, capsys, tmp_path):
         from repro.cli import main
 
@@ -698,6 +708,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "recommended: firewall -> nat" in out
+
+    def test_compose_json_is_the_served_payload(self, capsys):
+        from repro.cli import main
+        from repro.serve.jobs import _op_compose
+
+        code = main(["--no-cache", "compose", "firewall,snortlite",
+                     "loadbalancer", "--json"])
+        assert code == 0
+        with artifact_cache.override(enabled=False):
+            served = _op_compose(
+                {"chain_a": ["firewall", "snortlite"], "chain_b": ["loadbalancer"]}
+            )
+        assert capsys.readouterr().out == json.dumps(served, indent=2) + "\n"
+        assert served["recommended"] == ["firewall", "snortlite", "loadbalancer"]
 
     def test_verify_graph_subcommand(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main

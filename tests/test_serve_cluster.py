@@ -589,6 +589,22 @@ class TestClusterClient:
         assert json.loads(captured.out)["result"]["name"] == "nat"
         assert captured.err.strip() == f"shard: {owner}"
 
+    def test_query_verify_exits_with_the_verdict_status(self, tmp_path, capsys):
+        """``repro query verify`` exits like ``repro verify``: 4 for an
+        ``incomplete`` verdict (loadbalancer#2 drops spaces at its cap)."""
+        import json
+
+        from repro.cli import main
+
+        with shard(tmp_path, "a") as (handle, _client):
+            code = main([
+                "query", "--port", str(handle.port),
+                "verify", "firewall", "snortlite", "loadbalancer",
+            ])
+            captured = capsys.readouterr()
+        assert json.loads(captured.out)["result"]["status"] == "incomplete"
+        assert code == 4
+
 
 # -- satellite: client keep-alive ---------------------------------------------
 
