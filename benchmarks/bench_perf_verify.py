@@ -8,7 +8,8 @@ ways, against a private temporary cache directory:
 - **cold**        — cache enabled over an empty directory: every edge
   misses and its summary is written;
 - **warm**        — same directory, in-memory tier dropped (fresh
-  process over a warm disk): every edge is a pure summary lookup;
+  process over a warm disk): every edge is a pure summary lookup, each
+  distinct summary is read from disk once, and no solver check runs;
 - **parallel**    — cache disabled, independent edges fanned over
   worker processes;
 - **incremental** — one sink-layer NF is swapped for a different corpus
@@ -26,8 +27,8 @@ Runs two ways:
   (asserts the acceptance thresholds: incremental re-verify ≥ 10×
   faster than cold on the ~30-NF graph);
 - as a script: ``python benchmarks/bench_perf_verify.py [--quick]``
-  (``--quick`` uses a ~12-NF graph and only asserts identity, full warm
-  hits and a proper dirty region — the CI ``perf-smoke`` job).  Both
+  (``--quick`` uses a ~12-NF graph and only asserts identity, the warm
+  run above and a proper dirty region — the CI ``perf-smoke`` job).  Both
   script modes write ``BENCH_perf_verify.json`` at the repo root.
 """
 
@@ -44,7 +45,7 @@ from typing import Dict
 from repro import cache as artifact_cache
 from repro.netverify import GraphVerifier, GraphVerifyConfig, generate_graph
 from repro.netverify.graph import DEFAULT_NF_POOL, _synthesized
-from repro.symbolic.solver import clear_global_cache
+from repro.symbolic.solver import Solver, clear_global_cache
 
 FULL_NODES, FULL_WIDTH = 30, 5
 QUICK_NODES, QUICK_WIDTH = 12, 4
@@ -55,12 +56,16 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_perf_verify.json"
 
 
 def _verify(graph, use_cache: bool, jobs: int = 1):
-    """One timed verification (solver cache off: honest cold timings)."""
+    """One timed verification (solver cache off: honest cold timings).
+
+    Returns the verdict, its wall time and the in-process solver
+    checks it made."""
     clear_global_cache()
     config = GraphVerifyConfig(use_cache=use_cache, jobs=jobs, solver_cache=False)
+    solver = Solver(cache=False)
     t0 = time.perf_counter()
-    verdict = GraphVerifier(graph, config=config).verify()
-    return verdict, time.perf_counter() - t0
+    verdict = GraphVerifier(graph, solver=solver, config=config).verify()
+    return verdict, time.perf_counter() - t0, solver.checks
 
 
 def _edit_sink_node(graph) -> str:
@@ -91,21 +96,27 @@ def measure(n_nodes: int, width: int) -> Dict[str, object]:
                 _synthesized(nf)
 
             with artifact_cache.override(enabled=False):
-                nocache, t_nocache = _verify(graph, use_cache=False)
+                nocache, t_nocache, _ = _verify(graph, use_cache=False)
 
-            cold, t_cold = _verify(graph, use_cache=True)
+            cold, t_cold, _ = _verify(graph, use_cache=True)
 
-            # Fresh-process simulation: only the disk tier survives.
-            artifact_cache.get_store().drop_memory()
-            warm, t_warm = _verify(graph, use_cache=True)
+            # Fresh-process simulation: only the disk tier survives, so
+            # the warm run reads each distinct summary from disk once
+            # (edge tasks whose input repeats one hit the memory tier).
+            store = artifact_cache.get_store()
+            summaries = len(store.list_objects(("edge",), limit=cold.stats.edges))
+            store.drop_memory()
+            disk_hits = store.counters.get("disk.hits", 0)
+            warm, t_warm, warm_checks = _verify(graph, use_cache=True)
+            warm_disk_hits = store.counters.get("disk.hits", 0) - disk_hits
 
             with artifact_cache.override(enabled=False):
-                par, t_par = _verify(graph, use_cache=False, jobs=4)
+                par, t_par, _ = _verify(graph, use_cache=False, jobs=4)
 
             edited = _edit_sink_node(graph)
-            incr, t_incr = _verify(graph, use_cache=True)
+            incr, t_incr, _ = _verify(graph, use_cache=True)
             with artifact_cache.override(enabled=False):
-                fresh, t_fresh = _verify(graph, use_cache=False)
+                fresh, t_fresh, _ = _verify(graph, use_cache=False)
     finally:
         clear_global_cache()
         shutil.rmtree(tmp, ignore_errors=True)
@@ -127,7 +138,10 @@ def measure(n_nodes: int, width: int) -> Dict[str, object]:
         "incremental_s": round(t_incr, 4),
         "fresh_recompute_s": round(t_fresh, 4),
         "warm_hits": warm.stats.cache_hits,
+        "summaries": summaries,
+        "warm_disk_hits": warm_disk_hits,
         "warm_dirty": warm.stats.dirty_edges,
+        "warm_solver_checks": warm_checks,
         "incr_hits": incr.stats.cache_hits,
         "incr_dirty": incr.stats.dirty_edges,
         "edited_node": edited,
@@ -166,6 +180,15 @@ def check(row: Dict[str, object], quick: bool) -> list:
             f"warm run not pure lookup: {row['warm_hits']}/{row['edges']} hits, "
             f"{row['warm_dirty']} recomputed"
         )
+    if row["warm_disk_hits"] != row["summaries"]:
+        failures.append(
+            f"warm run read {row['warm_disk_hits']}/{row['summaries']} "
+            "summaries from disk, not each once"
+        )
+    if row["warm_solver_checks"] != 0:
+        failures.append(
+            f"warm run made {row['warm_solver_checks']} solver check(s), not 0"
+        )
     if not 0 < row["incr_dirty"] < row["edges"]:
         failures.append(
             f"dirty region degenerate: {row['incr_dirty']}/{row['edges']} edges"
@@ -201,8 +224,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="~12-NF graph; only assert identity + warm hits + dirty "
-        "region (CI smoke)",
+        help="~12-NF graph; only assert identity + warm hits (from disk, "
+        "no solver check) + dirty region (CI smoke)",
     )
     parser.add_argument(
         "--out",

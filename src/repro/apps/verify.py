@@ -17,13 +17,14 @@ Two verification styles from the paper:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.matchaction import NFModel, TableEntry
 from repro.nfactor.algorithm import SynthesisResult
 from repro.symbolic.expr import SApp, SDictVal, SVar, Sym, canon, sym_vars
-from repro.symbolic.solver import Solver
+from repro.symbolic.solver import Solver, SolverResult
 
 
 def subst_fields(value: Any, fields: Dict[str, Any], ns: str = "") -> Any:
@@ -59,6 +60,37 @@ def subst_fields(value: Any, fields: Dict[str, Any], ns: str = "") -> Any:
     return value
 
 
+#: The digest of an empty constraint list (see :func:`fold_digest`).
+EMPTY_DIGEST = hashlib.blake2b(b"", digest_size=16).hexdigest()
+
+
+def fold_digest(digest: str, constraints: Sequence[Any]) -> str:
+    """Extend a rolling constraint digest by ``constraints``, in order.
+
+    Each step hashes the previous (fixed-width) digest followed by one
+    conjunct's ``canon``, so the digest is a function of the ordered
+    canonical constraint list alone: equal lists give equal digests
+    however the list was built.
+    """
+    for c in constraints:
+        digest = hashlib.blake2b(
+            (digest + canon(c)).encode(), digest_size=16
+        ).hexdigest()
+    return digest
+
+
+def witness_pairs(result: SolverResult) -> Optional[Tuple[Tuple[str, Any], ...]]:
+    """A sat answer's assignment as sorted ``(name, int|bool)`` pairs
+    (the JSON-safe witness of a verdict), else None."""
+    if result.status != "sat" or result.assignment is None:
+        return None
+    return tuple(
+        (str(k), bool(v) if isinstance(v, bool) else int(v))
+        for k, v in sorted(result.assignment.items(), key=lambda kv: str(kv[0]))
+        if isinstance(v, (bool, int))
+    )
+
+
 @dataclass
 class HeaderSpace:
     """A symbolic set of packets at one point in the network.
@@ -69,12 +101,25 @@ class HeaderSpace:
     ``trace`` lists the (nf, entry_id) hops taken.  ``decided`` is
     false once any guard check on the trace answered ``unknown``: the
     space may then be empty.
+
+    ``digest`` is the rolling digest of ``constraints``
+    (:func:`fold_digest`); a space built without one folds its list.
+    ``witness`` is the last hop's guard-check assignment as
+    :func:`witness_pairs` (None before the first hop, or when that
+    check was not ``sat``): since that check covered every constraint,
+    it is a witness of the whole space.
     """
 
     fields: Dict[str, Any]
     constraints: List[Any] = field(default_factory=list)
     trace: List[Tuple[str, int]] = field(default_factory=list)
     decided: bool = True
+    digest: Optional[str] = None
+    witness: Optional[Tuple[Tuple[str, Any], ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.digest is None:
+            self.digest = fold_digest(EMPTY_DIGEST, self.constraints)
 
     @classmethod
     def universe(cls) -> "HeaderSpace":
@@ -95,6 +140,7 @@ class HeaderSpace:
             constraints=list(self.constraints) + list(constraints),
             trace=list(self.trace),
             decided=self.decided,
+            digest=fold_digest(self.digest, constraints),
         )
 
 
@@ -114,8 +160,10 @@ def push_space(
 
     The input space is absorbed into one solver context once; each
     entry's guard is checked on a copy of it, which gives the same
-    answer as checking ``space.constraints + guard`` from scratch
-    (docs/internals.md §7).
+    answer — status and assignment — as checking
+    ``space.constraints + guard`` from scratch (docs/internals.md §7).
+    So each output carries that check's assignment as its witness, and
+    extends the input's digest by the guard alone.
     """
     out: List[HeaderSpace] = []
     base = solver.context()
@@ -136,6 +184,8 @@ def push_space(
                 constraints=space.constraints + guard,
                 trace=space.trace + [(model.name, entry.entry_id)],
                 decided=space.decided and result.status != "unknown",
+                digest=fold_digest(space.digest, guard),
+                witness=witness_pairs(result),
             )
         )
     return out

@@ -16,10 +16,15 @@ complete file, and two writers racing on one key write identical
 content (the key *is* the content address), so last-writer-wins is
 correct.
 
-The memory tier fronts the disk with a bounded LRU of raw pickle
-bytes — bytes, not objects, so every ``get`` hands out a fresh
-deserialization and callers can freely mutate what they receive
-without poisoning the cache.
+The memory tier fronts the disk with a bounded LRU.  For most kinds it
+holds raw pickle bytes — bytes, not objects, so every ``get`` hands out
+a fresh deserialization and callers can freely mutate what they
+receive without poisoning the cache.  Kinds whose artifacts are
+immutable values (:data:`DECODED_KINDS`: edge summaries) are held
+decoded instead, so a hit costs no ``pickle.loads`` and every ``get``
+of one returns the same object; such an entry weighs its pickled
+length in the LRU, and :meth:`ArtifactStore.drop_memory` drops it like
+any other.
 
 Determinism invariant (docs/internals.md §8): the store only ever
 changes *when* work happens, never *what* is computed.  Any read
@@ -54,6 +59,10 @@ def _warn(event: str, msg: str, **fields: Any) -> None:
 _MAGIC = b"RPAC\x01"
 _DIGEST_SIZE = 16
 _HEADER_SIZE = len(_MAGIC) + _DIGEST_SIZE
+
+#: Kinds the memory tier keeps decoded (their artifacts are immutable
+#: values, so one object can serve every hit; see the module docstring).
+DECODED_KINDS = frozenset({"edge"})
 
 #: Memory-tier defaults.
 DEFAULT_MEMORY_ENTRIES = 256
@@ -147,7 +156,9 @@ class ArtifactStore:
         #: pipeline recomputes locally.
         self.peers = tuple(peers)
         self.peer_timeout_s = peer_timeout_s
-        self._mem: "OrderedDict[str, bytes]" = OrderedDict()
+        #: key → (pickle bytes, or the object for DECODED_KINDS;
+        #: its pickled length, the entry's weight).
+        self._mem: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
         self._mem_bytes = 0
         self._lock = threading.Lock()
         #: Set on the first failed disk write (read-only or unwritable
@@ -179,34 +190,35 @@ class ArtifactStore:
 
     # -- memory tier --------------------------------------------------------
 
-    def _mem_get(self, key: str) -> Optional[bytes]:
+    def _mem_get(self, key: str) -> Optional[Any]:
         with self._lock:
-            data = self._mem.get(key)
-            if data is not None:
-                self._mem.move_to_end(key)
-            return data
+            entry = self._mem.get(key)
+            if entry is None:
+                return None
+            self._mem.move_to_end(key)
+            return entry[0]
 
-    def _mem_put(self, key: str, data: bytes) -> None:
-        if len(data) > self.memory_bytes:
+    def _mem_put(self, key: str, value: Any, size: int) -> None:
+        if size > self.memory_bytes:
             return
         with self._lock:
             old = self._mem.pop(key, None)
             if old is not None:
-                self._mem_bytes -= len(old)
-            self._mem[key] = data
-            self._mem_bytes += len(data)
+                self._mem_bytes -= old[1]
+            self._mem[key] = (value, size)
+            self._mem_bytes += size
             while self._mem and (
                 len(self._mem) > self.memory_entries
                 or self._mem_bytes > self.memory_bytes
             ):
-                _, evicted = self._mem.popitem(last=False)
-                self._mem_bytes -= len(evicted)
+                _, (_, evicted) = self._mem.popitem(last=False)
+                self._mem_bytes -= evicted
 
     def _mem_drop(self, key: str) -> None:
         with self._lock:
             old = self._mem.pop(key, None)
             if old is not None:
-                self._mem_bytes -= len(old)
+                self._mem_bytes -= old[1]
 
     def drop_memory(self) -> None:
         """Empty the memory tier (simulates a fresh process over a warm disk)."""
@@ -332,13 +344,19 @@ class ArtifactStore:
         ``decode``, when given, turns the unpickled object into the
         returned one; an exception it raises counts as a failed load,
         so ``kind.<kind>.hits`` only counts artifacts the caller can
-        use.
+        use.  A kind in :data:`DECODED_KINDS` is decoded once per
+        memory-tier entry, and the same object is returned to every
+        hit on it.
         """
         if not self.enabled:
             return None
+        decoded = kind in DECODED_KINDS
         data = self._mem_get(key)
         if data is not None:
             self._count("mem.hits")
+            if decoded:
+                self._count(f"kind.{kind}.hits")
+                return data
         else:
             self._count("mem.misses")
             data = self._disk_read(self._object_path(kind, key))
@@ -350,7 +368,8 @@ class ArtifactStore:
                     return None
             else:
                 self._count("disk.hits")
-            self._mem_put(key, data)
+            if not decoded:
+                self._mem_put(key, data, len(data))
         try:
             obj = pickle.loads(data)
             if decode is not None:
@@ -364,6 +383,8 @@ class ArtifactStore:
             self._mem_drop(key)
             self._count(f"kind.{kind}.misses")
             return None
+        if decoded:
+            self._mem_put(key, obj, len(data))
         self._count(f"kind.{kind}.hits")
         return obj
 
@@ -380,7 +401,7 @@ class ArtifactStore:
                 kind=kind, key=key, error=str(exc),
             )
             return
-        self._mem_put(key, data)
+        self._mem_put(key, obj if kind in DECODED_KINDS else data, len(data))
         self._disk_write(self._object_path(kind, key), data)
 
     # -- raw framed access (what peers exchange) ----------------------------
@@ -392,7 +413,7 @@ class ArtifactStore:
         serving a peer-fill costs one ``read()``.  End-to-end integrity
         is the *fetching* side's checksum verification.  Falls back to
         re-framing the memory tier when the disk copy is missing (e.g.
-        an unwritable-disk degrade).
+        an unwritable-disk degrade), re-pickling a decoded entry.
         """
         if not self.enabled:
             return None
@@ -404,6 +425,8 @@ class ArtifactStore:
         data = self._mem_get(key)
         if data is None:
             return None
+        if kind in DECODED_KINDS:
+            data = pickle.dumps(data, pickle.HIGHEST_PROTOCOL)
         return _frame(zlib.compress(data, 1))
 
     def put_raw(self, kind: str, key: str, framed: bytes) -> bool:
@@ -427,7 +450,9 @@ class ArtifactStore:
         except zlib.error:
             self._count("peer.corrupt")
             return False
-        self._mem_put(key, data)
+        if kind not in DECODED_KINDS:
+            # A decoded kind enters the memory tier at its first get.
+            self._mem_put(key, data, len(data))
         self._disk_write_framed(self._object_path(kind, key), framed)
         return True
 

@@ -751,10 +751,13 @@ def cmd_query(args: argparse.Namespace) -> int:
                 raise SystemExit("error: query verify needs a chain of NFs")
             response = client.verify(list(args.nfs))
         elif args.action == "compose":
-            if not (args.chain_a and args.chain_b):
-                raise SystemExit("error: query compose needs --chain-a and --chain-b")
+            if len(args.nfs) != 2:
+                raise SystemExit(
+                    "error: query compose needs two chains, e.g. "
+                    "repro query compose firewall,snortlite loadbalancer"
+                )
             response = client.compose(
-                args.chain_a.split(","), args.chain_b.split(",")
+                args.nfs[0].split(","), args.nfs[1].split(",")
             )
         elif args.action == "testgen":
             if not args.nfs:
@@ -1096,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "nfs", nargs="*",
         help="NF name(s)/path(s): one for synthesize/simulate/testgen, "
-        "the chain for verify",
+        "the chain for verify, two comma-separated chains for compose",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000)
@@ -1116,8 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--packet", action="append", metavar="F=V[,F=V...]",
         help="simulate: one packet as field=value pairs (repeatable)",
     )
-    p.add_argument("--chain-a", help="compose: comma-separated chain A")
-    p.add_argument("--chain-b", help="compose: comma-separated chain B")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser(

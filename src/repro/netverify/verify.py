@@ -6,12 +6,20 @@ output spaces with their accumulated state predicates — depends only on
 
 * the node's model (content-addressed by :attr:`GraphNode.model_key`),
 * the node's state namespace, and
-* the input space itself (fields + constraints, canonically printed),
+* the input space itself (canonically printed fields, plus the rolling
+  digest of its ordered constraints that each space carries),
 
 so the summary is memoized in the artifact store under the ``edge``
-kind keyed on exactly that material.  Consequences:
+kind keyed on exactly that material.  A summary stores only what its
+edge added to each output (field updates, guard conjuncts, trace
+delta, decided flag, the output's constraint digest and its witness),
+and the store's memory tier keeps it decoded, so a hit costs a dict
+merge and a list concatenation however long the path behind it.
+Consequences:
 
-* **warm re-verification is pure lookup** — no solver call runs;
+* **warm re-verification is pure lookup** — no solver call runs: each
+  output space carries its last guard check's assignment, which is
+  the verdict's witness for it;
 * **incremental re-verify is automatic** — editing one NF (or rewiring
   upstream topology) changes that node's ``model_key`` (or its input
   fingerprints), so precisely the edges downstream of the dirty node
@@ -39,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import cache as artifact_cache
-from repro.apps.verify import HeaderSpace, push_space
+from repro.apps.verify import HeaderSpace, push_space, witness_pairs
 from repro.cache.keys import stable_fingerprint
 from repro.netverify.graph import ServiceGraph
 from repro.obs import metrics as obs_metrics
@@ -48,7 +56,9 @@ from repro.symbolic.solver import Solver
 
 #: Bump to invalidate every persisted edge summary (layout changes).
 #: 2: each output carries its guard check's decided flag.
-EDGE_SUMMARY_VERSION = 2
+#: 3: outputs store only what the edge added, plus their constraint
+#:    digest and witness; keys use the input's digest.
+EDGE_SUMMARY_VERSION = 3
 
 #: ``repro verify`` / ``repro verify-graph`` exit status per verdict
 #: status (2 stays argparse's usage error).
@@ -62,16 +72,19 @@ def space_fingerprint(space: HeaderSpace) -> str:
     — the solver absorbs them in sequence and derives its witness
     samples from the ordered canon tuple, so two spaces with permuted
     constraints are distinct cache keys (identical results would not be
-    guaranteed byte-for-byte).  The trace and the decided flag are
-    deliberately excluded: neither influences the transfer function
-    (:meth:`EdgeSummary.apply` re-applies the input's own).
+    guaranteed byte-for-byte).  They enter through the space's rolling
+    digest, a function of the ordered canon list alone, so the key
+    costs O(fields) however long the list.  The trace, the decided flag
+    and the witness are deliberately excluded: none influences the
+    transfer function (:meth:`EdgeSummary.apply` re-applies the input's
+    own trace and flag).  The sorted fields are joined into one
+    NUL-separated string (names and ``canon`` prints hold no NUL), which
+    encodes in one step rather than two per field.
     """
-    return stable_fingerprint(
-        (
-            tuple(sorted((k, canon(v)) for k, v in space.fields.items())),
-            tuple(canon(c) for c in space.constraints),
-        )
+    fields = "\0".join(
+        f"{k}\0{canon(v)}" for k, v in sorted(space.fields.items())
     )
+    return stable_fingerprint((fields, space.digest))
 
 
 def edge_key(model_key: str, ns: str, space: HeaderSpace) -> str:
@@ -82,30 +95,36 @@ def edge_key(model_key: str, ns: str, space: HeaderSpace) -> str:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeSummary:
     """Memoized outputs of one edge task.
 
-    ``outputs`` holds ``(fields, constraints, trace_delta, decided)``
-    tuples — the full symbolic output spaces, with the trace stored as a
-    delta relative to the input and ``decided`` as the guard check's own
-    flag (two inputs identical up to trace and flag share one summary).
-    Everything inside is plain symbolic trees, so the summary pickles
-    into the store like any other artifact.
+    Each output is ``(field updates, guard conjuncts, trace delta,
+    decided, constraint digest, witness)``: only what the edge added to
+    its input — the ``(name, value)`` pairs it rewrote, the conjuncts it
+    appended, its ``(nf, entry_id)`` hops, the guard check's own
+    decided flag (two inputs identical up to trace and flag share one
+    summary) — plus the output's digest and witness
+    (:class:`HeaderSpace`).  Everything is tuples of symbolic trees, so
+    a summary is an immutable value: the store's memory tier hands the
+    same object to every hit, and :meth:`apply` copies what it hands
+    out.
     """
 
-    outputs: List[Tuple[Dict[str, Any], List[Any], List[Tuple[str, int]], bool]]
+    outputs: Tuple[Tuple[Any, ...], ...]
 
     def apply(self, space: HeaderSpace) -> List[HeaderSpace]:
         """Materialize output spaces downstream of ``space``."""
         return [
             HeaderSpace(
-                fields=dict(fields),
-                constraints=list(constraints),
-                trace=space.trace + [tuple(t) for t in delta],
+                fields={**space.fields, **dict(updates)},
+                constraints=space.constraints + list(guard),
+                trace=space.trace + list(delta),
                 decided=space.decided and decided,
+                digest=digest,
+                witness=witness,
             )
-            for fields, constraints, delta, decided in self.outputs
+            for updates, guard, delta, decided, digest, witness in self.outputs
         ]
 
 
@@ -115,12 +134,27 @@ def compute_edge_summary(
     """Run the transfer function for one edge task (the cache filler)."""
     # Pushed with an empty trace and a decided flag, so the outputs
     # carry exactly this edge's trace delta and guard-check flags.
-    probe = HeaderSpace(fields=space.fields, constraints=space.constraints)
+    probe = HeaderSpace(
+        fields=space.fields, constraints=space.constraints, digest=space.digest
+    )
+    n = len(space.constraints)
     return EdgeSummary(
-        outputs=[
-            (out.fields, out.constraints, out.trace, out.decided)
+        outputs=tuple(
+            (
+                # push_space copies the fields it does not rewrite by
+                # reference, so these are exactly its rewrites.
+                tuple(
+                    (k, v) for k, v in out.fields.items()
+                    if space.fields.get(k) is not v
+                ),
+                tuple(out.constraints[n:]),
+                tuple(out.trace),
+                out.decided,
+                out.digest,
+                out.witness,
+            )
             for out in push_space(model, probe, ns, solver)
-        ]
+        )
     )
 
 
@@ -167,7 +201,7 @@ class VerifyStats:
     #: function of graph and models alone, so it is part of the verdict.
     node_truncated: Dict[str, int] = field(default_factory=dict)
     #: Solver ``unknown`` answers in the edge tasks this run computed
-    #: and in witness extraction (cache hits run no solver).
+    #: (cache hits run no solver).
     solver_unknowns: int = 0
     elapsed_s: float = 0.0
     #: Per-node hit/recompute counts (dirty-region introspection).
@@ -300,7 +334,7 @@ class GraphVerifier:
 
     def _lookup(self, key: str) -> Optional[EdgeSummary]:
         hit = artifact_cache.get_store().get_object("edge", key)
-        if isinstance(hit, EdgeSummary) and isinstance(hit.outputs, list):
+        if isinstance(hit, EdgeSummary) and isinstance(hit.outputs, tuple):
             return hit
         return None
 
@@ -395,9 +429,9 @@ class GraphVerifier:
                 for dst in self.graph.successors(name):
                     inbox[dst].extend(outs)
 
+        stats.solver_unknowns += self.solver.unknown_hits - unknowns_before
         reachable = {sink: outputs.get(sink, []) for sink in self.graph.sinks()}
         witnesses = self._witnesses(reachable, config.max_witnesses)
-        stats.solver_unknowns += self.solver.unknown_hits - unknowns_before
         stats.elapsed_s = time.perf_counter() - t0
         self._count("verify.edges", stats.edges)
         self._count("verify.cache.hits", stats.cache_hits)
@@ -415,30 +449,27 @@ class GraphVerifier:
     ) -> List[Dict[str, Any]]:
         """Concrete witness packets for the first ``cap`` reaching spaces.
 
-        Witnesses are derived from the reaching spaces' constraint sets
-        with a fresh solver pass, so they are identical whether the
-        spaces came out of the cache or a live computation.
+        Each space carries its last guard check's assignment, which a
+        from-scratch check of its whole constraint list would return
+        too (``Solver.check_assuming``), so witnesses are identical
+        whether the spaces came out of the cache or a live computation.
+        Only a space that has passed no hop is checked here.
         """
         out: List[Dict[str, Any]] = []
         for sink in sorted(reachable):
             for space in reachable[sink]:
                 if len(out) >= cap:
                     return out
-                result = self.solver.check(space.constraints)
-                if result.status != "sat" or result.assignment is None:
+                witness = space.witness
+                if witness is None and not space.trace:
+                    witness = witness_pairs(self.solver.check(space.constraints))
+                if witness is None:
                     continue
-                assignment = {
-                    str(k): (bool(v) if isinstance(v, bool) else int(v))
-                    for k, v in sorted(
-                        result.assignment.items(), key=lambda kv: str(kv[0])
-                    )
-                    if isinstance(v, (bool, int))
-                }
                 out.append(
                     {
                         "sink": sink,
                         "trace": [[nf, e] for nf, e in space.trace],
-                        "assignment": assignment,
+                        "assignment": dict(witness),
                     }
                 )
         return out

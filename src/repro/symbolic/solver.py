@@ -566,8 +566,10 @@ class Solver:
 
         ``ctx`` is left untouched (the check runs on a copy), so one
         propagated prefix can serve any number of assumption probes.
-        The result is identical to :meth:`check` on the full list —
-        absorption order is prefix-then-extras either way.
+        The result — status and assignment — is identical to
+        :meth:`check` on the full list, since absorption order is
+        prefix-then-extras either way; ``push_space`` carries the
+        assignment as its outputs' witness on that basis.
         """
         t0 = time.perf_counter()
         child = ctx.copy()

@@ -79,6 +79,37 @@ def test_store_roundtrip_and_mutation_isolation(store_dir):
     assert second == {"xs": [1, 2, 3]}
 
 
+def test_decoded_kind_serves_one_object_per_memory_entry(store_dir):
+    import pickle
+
+    from repro.cache.store import DECODED_KINDS
+
+    assert DECODED_KINDS == {"edge"}
+    store = artifact_cache.get_store()
+    key = artifact_cache.artifact_key("edge", ("payload",))
+    value = (("a", 1), ("b", (2, 3)))
+    store.put_object("edge", key, value)
+    # The memory tier holds the object itself, weighed by its pickle.
+    assert store.get_object("edge", key) is value
+    assert store.get_object("edge", key) is value
+    size = len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+    assert store.disk_stats()["memory_bytes"] == size
+    # A peer asking when the disk copy is gone gets a re-pickled frame.
+    store._object_path("edge", key).unlink()
+    framed = store.get_raw("edge", key)
+    assert framed is not None and store.put_raw("edge", key, framed)
+    # Dropping the memory tier drops the decoded entry: the next get
+    # decodes the disk copy once and serves that object from then on.
+    store.drop_memory()
+    assert store.disk_stats()["memory_bytes"] == 0
+    hits = store.counters.get("disk.hits", 0)
+    from_disk = store.get_object("edge", key)
+    assert from_disk == value and from_disk is not value
+    assert store.counters["disk.hits"] == hits + 1
+    assert store.get_object("edge", key) is from_disk
+    assert store.disk_stats()["memory_bytes"] == size
+
+
 def test_disabled_store_is_inert(tmp_path):
     with artifact_cache.override(directory=str(tmp_path / "c"), enabled=False):
         store = artifact_cache.get_store()

@@ -16,7 +16,7 @@ import pytest
 
 from repro import cache as artifact_cache
 from repro import obs
-from repro.apps.verify import HeaderSpace, push_space, subst_fields
+from repro.apps.verify import HeaderSpace, push_space, subst_fields, witness_pairs
 from repro.netverify import verify as netverify_verify
 from repro.netverify import (
     GraphVerifier,
@@ -139,6 +139,16 @@ class TestEdgeSummary:
 
         narrowed = base.constrained(mk_app("==", base.fields["dport"], 80))
         assert space_fingerprint(base) != space_fingerprint(narrowed)
+
+    def test_digest_is_a_function_of_the_ordered_list(self):
+        base = HeaderSpace.universe()
+        a = mk_app("==", base.fields["dport"], 80)
+        b = mk_app("==", base.fields["proto"], 6)
+        rolled = base.constrained(a).constrained(b)
+        folded = HeaderSpace(fields=dict(base.fields), constraints=[a, b])
+        assert rolled.digest == folded.digest != base.digest
+        assert base.constrained(b, a).digest != rolled.digest
+        assert space_fingerprint(rolled) == space_fingerprint(folded)
 
     def test_summary_apply_reprefixes_trace(self):
         model = _model("monitor")
@@ -291,6 +301,78 @@ class TestDirtyRegion:
             assert incr.to_json() == fresh.to_json()
 
 
+class TestWarmPath:
+    """A cache hit is a dict merge and a list concatenation: no solver
+    check, no ``pickle.loads``, nothing a caller can mutate."""
+
+    def test_second_verify_runs_no_solver_and_no_unpickle(self, tmp_path):
+        import pickle
+
+        with artifact_cache.override(directory=str(tmp_path), enabled=True):
+            g = _quick_graph()
+            solver = Solver(cache=False)
+            cold = GraphVerifier(g, solver=solver).verify()
+            checks = solver.check_hist.count
+            assert checks > 0 and cold.witnesses
+            with mock.patch.object(
+                pickle, "loads", wraps=pickle.loads
+            ) as loads:
+                warm = GraphVerifier(g, solver=solver).verify()
+            assert loads.call_count == 0
+            assert solver.check_hist.count == checks
+            assert warm.stats.cache_hits == warm.stats.edges
+            assert warm.stats.solver_unknowns == 0
+            assert warm.to_json() == cold.to_json()
+
+    def test_dropped_memory_reads_every_edge_from_disk(self, tmp_path):
+        with artifact_cache.override(directory=str(tmp_path), enabled=True):
+            g = _quick_graph()
+            cold = GraphVerifier(g).verify()
+            store = artifact_cache.get_store()
+            store.drop_memory()
+            before = store.counters.get("disk.hits", 0)
+            warm = GraphVerifier(g).verify()
+            assert store.counters["disk.hits"] - before == warm.stats.edges
+            assert warm.stats.cache_hits == warm.stats.edges
+            assert warm.to_json() == cold.to_json()
+
+    def test_mutating_a_verdict_leaves_the_cache_intact(self, tmp_path):
+        with artifact_cache.override(directory=str(tmp_path), enabled=True):
+            g = _quick_graph()
+            first = GraphVerifier(g).verify()
+            expected = first.to_json()
+            for witness in first.witnesses:
+                witness["assignment"]["poisoned"] = 1
+                witness["assignment"].clear()
+            for spaces in first.reachable.values():
+                for space in spaces:
+                    space.fields.clear()
+                    space.constraints.append(mk_app("==", 1, 2))
+                    space.trace.append(("poisoned", 0))
+            again = GraphVerifier(g).verify()
+            assert again.stats.cache_hits == again.stats.edges
+            assert again.to_json() == expected
+
+    def test_parallel_summaries_carry_the_same_digests_and_witnesses(
+        self, tmp_path
+    ):
+        def summaries(jobs):
+            directory = tmp_path / f"jobs{jobs}"
+            with artifact_cache.override(directory=str(directory), enabled=True):
+                config = GraphVerifyConfig(jobs=jobs, solver_cache=False)
+                GraphVerifier(_quick_graph(), config=config).verify()
+                store = artifact_cache.get_store()
+                out = {}
+                for kind, key in store.list_objects(kinds=("edge",)):
+                    summary = store.get_object(kind, key)
+                    out[key] = [(o[4], o[5]) for o in summary.outputs]
+                return out
+
+        sequential, parallel = summaries(1), summaries(2)
+        assert sequential and sequential == parallel
+        assert any(w is not None for outs in sequential.values() for _, w in outs)
+
+
 class TestObsAndStats:
     def test_counters_threaded_through(self, tmp_path):
         with artifact_cache.override(directory=str(tmp_path), enabled=True):
@@ -428,6 +510,7 @@ def _reference_push_space(model, space, ns, solver):
                 fields=rewritten,
                 constraints=combined,
                 trace=space.trace + [(model.name, entry.entry_id)],
+                witness=witness_pairs(result),
             )
         )
     return answers, out
@@ -455,6 +538,11 @@ class TestPushSpaceAbsorbsOnce:
             assert answers == expected_answers, (model.name, ns)
             assert [_space_payload(s) for s in outputs] == [
                 _space_payload(s) for s in expected
+            ], (model.name, ns)
+            # Each output's rolled digest equals its list folded from
+            # scratch, and its carried witness the from-scratch check's.
+            assert [(s.digest, s.witness) for s in outputs] == [
+                (s.digest, s.witness) for s in expected
             ], (model.name, ns)
 
     def test_cold_verify_unknowns_pinned(self, cold_graph_run):

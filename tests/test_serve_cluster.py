@@ -605,6 +605,32 @@ class TestClusterClient:
         assert json.loads(captured.out)["result"]["status"] == "incomplete"
         assert code == 4
 
+    def test_query_compose_takes_the_chains_as_positionals(self, tmp_path, capsys):
+        """``repro query compose A B`` is spelled like ``repro compose A B``
+        and prints the local ``compose_payload`` of the same chains."""
+        import json
+
+        from repro.apps.compose import compose_chains, compose_payload
+        from repro.cli import _chain_models_local, main
+
+        expected = compose_payload(compose_chains(
+            _chain_models_local(["firewall", "snortlite"]),
+            _chain_models_local(["loadbalancer"]),
+        ))
+        with shard(tmp_path, "a") as (handle, _client):
+            port = str(handle.port)
+            code = main([
+                "query", "--port", port,
+                "compose", "firewall,snortlite", "loadbalancer",
+            ])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert json.loads(captured.out)["result"] == expected
+            with pytest.raises(SystemExit) as missing:
+                main(["query", "--port", port, "compose", "firewall,snortlite"])
+            assert missing.value.code != 0
+            assert "query compose needs two chains" in str(missing.value.code)
+
 
 # -- satellite: client keep-alive ---------------------------------------------
 
